@@ -40,7 +40,6 @@ from .treebuild import (
     Codeword,
     CodewordSetError,
     PrefixMidpoints,
-    StrictTreeShape,
     ZeroProbabilityError,
     code_tree,
     codeword,
@@ -50,6 +49,7 @@ from .treebuild import (
 from .treecode import (
     DyadicDistribution,
     MalformedPayloadError,
+    StrictTreeShape,
     TreePayload,
     compress_tree,
     decode_tree,

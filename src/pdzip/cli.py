@@ -25,7 +25,7 @@ from .core import (
     parse_distribution,
     relative_entropy,
 )
-from .refine import compress_refined, decompress_refined
+from .refine import compress_refined, decompress_refined, refined_weights
 from .sparse import (
     SparsePayload,
     build_query_table,
@@ -257,25 +257,9 @@ def cmd_query(args) -> int:
 
 
 def _query_refined(container: cont.Container, i: int) -> Fraction:
-    """q_i without materializing Q.
-
-    Every level doubles its marked symbols and renormalizes, so the final
-    weights are proportional to 2^{-d_j} * 2^{marks_j}.  One pass over
-    the payload accumulates the integer normalizer; the queried symbol's
-    own depth comes from the succinct index.
-    """
-    payload = cont.refine_payload(container)
-    index = SuccinctTreeIndex.from_payload(payload.base)
-    depths = decode_tree(payload.base).leaf_depths
-    n = container.n
-    marks = [0] * n
-    for level in payload.levels:
-        for j, bit in enumerate(level):
-            marks[j] += bit
-    dmax = max(depths)
-    total = sum(1 << (dmax - d + m) for d, m in zip(depths, marks))
-    d_i = index.leaf_depth(i)
-    return Fraction(1 << (dmax - d_i + marks[i - 1]), total)
+    """q_i from the integer refine weights, without materializing Q."""
+    weights, total = refined_weights(cont.refine_payload(container))
+    return Fraction(weights[i - 1], total)
 
 
 def cmd_stats(args) -> int:

@@ -7,9 +7,11 @@ weight of exactly those symbols whose ratio is still at least
 is below 2 + 2^{3-k}, so a k-level payload of k*n - 2 bits guarantees
 D(P||Q) < log2(2 + 2^{3-k}).
 
-The decoder never sees P: it replays the same doubling from the stored
-bit vectors, and the encoder computes each intermediate distribution
-exactly the way the decoder will.
+The decoder never sees P.  Replaying the stored doublings leaves
+q_i proportional to 2^(m_i - d_i), where d_i is the base-tree depth and
+m_i the number of levels that mark symbol i, so it computes that closed
+form once in integers; the encoder's per-level distributions are exactly
+the ones this replay passes through.
 """
 
 from __future__ import annotations
@@ -113,16 +115,23 @@ def compress_refined(dist: ProbabilityDistribution, k: int) -> RefinePayload:
     return RefinePayload(k, base, tuple(levels))
 
 
+def refined_weights(payload: RefinePayload) -> tuple[list[int], int]:
+    """Integer weights of the decoded distribution and their sum.
+
+    Every level doubles its marked symbols and renormalizes, so after all
+    levels q_i = 2^(m_i - d_i) / sum_j 2^(m_j - d_j), where d_i is leaf i's
+    depth in the base tree and m_i the number of levels that mark symbol i.
+    """
+    depths = decode_tree(payload.base).leaf_depths
+    marks = [0] * payload.n
+    for level in payload.levels:
+        marks = [m + b for m, b in zip(marks, level)]
+    top = max(depths)
+    weights = [1 << (top - d + m) for d, m in zip(depths, marks)]
+    return weights, sum(weights)
+
+
 def decompress_refined(payload: RefinePayload) -> ProbabilityDistribution:
-    """Replay the stored doubling vectors; no access to the original P."""
-    shape = decode_tree(payload.base)
-    q = list(implied_distribution(shape).probabilities())
-    for bits in payload.levels:
-        marked_mass = Fraction(0)
-        for i, m in enumerate(bits):
-            if m:
-                marked_mass += q[i]
-        normalizer = 1 + marked_mass
-        for i, m in enumerate(bits):
-            q[i] = (2 * q[i] if m else q[i]) / normalizer
-    return ProbabilityDistribution(tuple(q))
+    """The stored distribution, from the payload alone: no access to P."""
+    weights, total = refined_weights(payload)
+    return ProbabilityDistribution(tuple(Fraction(w, total) for w in weights))

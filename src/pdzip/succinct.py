@@ -26,9 +26,9 @@ from fractions import Fraction
 
 from .bits import Bits
 from .core import DistributionError, ProbabilityDistribution, ceil_log2_ratio
-from .treebuild import (StrictTreeShape, ZeroProbabilityError, capped_tree,
-                        code_tree)
-from .treecode import TreePayload, decode_tree, encode_tree
+from .treebuild import ZeroProbabilityError, capped_tree, code_tree
+from .treecode import (MalformedPayloadError, StrictTreeShape, TreePayload,
+                       encode_tree)
 
 
 class NavigationError(ValueError):
@@ -93,7 +93,7 @@ class SuccinctTreeIndex:
     def __init__(self, shape_bits: Bits, n: int):
         # shape_bits carries all 2n-1 preorder leaf flags
         if len(shape_bits) != 2 * n - 1:
-            raise ValueError("shape must hold 2n-1 node flags")
+            raise MalformedPayloadError("shape must hold 2n-1 node flags")
         _ensure_word_tables()
         self._n = n
         m = 2 * n - 1
@@ -125,39 +125,24 @@ class SuccinctTreeIndex:
                 mn = min(mn, e)
                 mx = max(mx, e)
             self._last_stats = (e, mn, mx)
-        self._validate_shape()
         self._build_blocks()
-
-    def _validate_shape(self) -> None:
-        # preorder flags of a strict tree keep every proper prefix at
-        # excess >= 0 and finish at exactly -1
-        cur = 0
-        for w in range(self._nw - 1):
-            d, wmn, _ = self._word_stats(w)
-            if cur + wmn < 0:
-                raise ValueError("shape bits do not describe a strict tree")
-            cur += d
-        w = self._words[-1]
-        tail = self._m - 16 * (self._nw - 1)
-        for i in range(tail):
-            cur += 1 if (w >> (15 - i)) & 1 else -1
-            if cur < 0 and i < tail - 1:
-                raise ValueError("shape bits do not describe a strict tree")
-        if cur != -1:
-            raise ValueError("shape bits do not describe a strict tree")
+        # preorder flags of a strict tree first reach excess -1 at their
+        # last position; the block directory answers that in one search
+        if (self._blk_entry[self._nb] != -1
+                or self._fwdsearch(0, -1, entry_excess=0) != m - 1):
+            raise MalformedPayloadError(
+                "shape bits do not describe a strict tree")
 
     # ------------------------------------------------------------------
     # construction
 
     @classmethod
     def from_tree_shape(cls, shape: StrictTreeShape) -> "SuccinctTreeIndex":
-        payload = encode_tree(shape)
-        full = Bits.from_int(payload.bits.as_int() << 1, 2 * shape.n - 1)
-        return cls(full, shape.n)
+        return cls.from_payload(encode_tree(shape))
 
     @classmethod
     def from_payload(cls, payload: TreePayload) -> "SuccinctTreeIndex":
-        decode_tree(payload)  # reject malformed bits before indexing them
+        """Index stored tree bits; MalformedPayloadError if they are no tree."""
         full = Bits.from_int(payload.bits.as_int() << 1, 2 * payload.n - 1)
         return cls(full, payload.n)
 

@@ -23,6 +23,7 @@ from .core import (
     ProbabilityDistribution,
     ceil_log2_ratio,
 )
+from .treecode import StrictTreeShape
 
 
 class ZeroProbabilityError(DistributionError):
@@ -78,46 +79,6 @@ class Codeword:
         return self.to01()
 
 
-@dataclass(frozen=True)
-class StrictTreeShape:
-    """Left-to-right leaf depths of a strict binary tree.
-
-    Validity means the sequence is realizable in this order by some strict
-    binary tree, which forces the dyadic weights 2^{-d_i} to sum to exactly
-    one.  The check below walks the tree the sequence describes.
-    """
-
-    leaf_depths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not _is_strict_tree(self.leaf_depths):
-            raise ValueError("leaf depths do not describe a strict binary tree")
-
-    @property
-    def n(self) -> int:
-        return len(self.leaf_depths)
-
-
-def _is_strict_tree(depths: Sequence[int]) -> bool:
-    n = len(depths)
-    if n == 0:
-        return False
-    # walk leaves left to right; `pending` holds depths of internal nodes
-    # whose right subtree has not been visited yet
-    pending: list[int] = []
-    at = 0
-    for i, d in enumerate(depths):
-        if d < at:
-            return False
-        pending.extend(range(at, d))
-        if i == n - 1:
-            return not pending
-        if not pending:
-            return False
-        at = pending.pop() + 1
-    return False
-
-
 def midpoints(dist: ProbabilityDistribution) -> PrefixMidpoints:
     """The in-order interval midpoints of a strictly positive distribution."""
     vals = []
@@ -141,68 +102,37 @@ def codeword(midpoint: Fraction, prob: Fraction) -> Codeword:
     return Codeword(value, length)
 
 
-class _Node:
-    __slots__ = ("left", "right")
-
-    def __init__(self) -> None:
-        self.left = None
-        self.right = None
-
-
 def contract_to_strict(codewords: Sequence[Codeword]) -> StrictTreeShape:
     """Depths of the codeword trie after removing every one-child node.
 
-    The codewords must be strictly increasing and prefix-free.  Consecutive
-    codewords meet at a branching node whose depth is their common prefix
-    length; stitching those branching nodes together with a stack builds
-    the contracted tree directly, in O(n) node operations.
+    The codewords must be strictly increasing and prefix-free.  Two
+    consecutive codewords meet at a branching node whose depth is their
+    common prefix length, and leaf i's branching ancestors are where it
+    meets its neighbours on either side: the distinct suffix minima of the
+    LCPs to its left and the distinct prefix minima of those to its right.
+    A stack that keeps the LCPs seen so far strictly increasing holds
+    exactly those minima, so one pass each way gives every depth in O(n).
+    The two sides never share a depth, and _lcp rejects the unsorted or
+    prefix neighbours that could give one node a third child.
     """
-    n = len(codewords)
-    if n == 0:
+    if not codewords:
         raise CodewordSetError("no codewords")
-    if n == 1:
-        return StrictTreeShape((0,))
-
-    root = _build_contracted(codewords)
-    depths: list[int] = []
-    stack = [(root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if node.left is None:
-            depths.append(d)
-        else:
-            stack.append((node.right, d + 1))
-            stack.append((node.left, d + 1))
-    return StrictTreeShape(tuple(depths))
+    lcps = [_lcp(a, b) for a, b in zip(codewords, codewords[1:])]
+    left = _branch_counts(lcps)
+    right = _branch_counts(lcps[::-1])[::-1]
+    return StrictTreeShape(tuple(a + b for a, b in zip(left, right)))
 
 
-def _build_contracted(codewords: Sequence[Codeword]) -> _Node:
-    # stack of (node, prefix length) along the rightmost path, shallow first
-    stack: list[tuple[_Node, int]] = [(_Node(), codewords[0].length)]
-    prev = codewords[0]
-    for cw in codewords[1:]:
-        lcp = _lcp(prev, cw)
-        carry = None
-        while stack and stack[-1][1] > lcp:
-            node, _ = stack.pop()
-            if carry is not None:
-                node.right = carry
-            carry = node
-        if stack and stack[-1][1] == lcp:
-            # a third subtree would hang off one binary node
-            raise CodewordSetError("codewords are not prefix-free")
-        branch = _Node()
-        branch.left = carry
-        stack.append((branch, lcp))
-        stack.append((_Node(), cw.length))
-        prev = cw
-    carry = None
-    while stack:
-        node, _ = stack.pop()
-        if carry is not None:
-            node.right = carry
-        carry = node
-    return carry
+def _branch_counts(lcps: list[int]) -> list[int]:
+    # entry i: size of the strictly increasing stack after lcps[:i]
+    counts = [0]
+    stack: list[int] = []
+    for lcp in lcps:
+        while stack and stack[-1] >= lcp:
+            stack.pop()
+        stack.append(lcp)
+        counts.append(len(stack))
+    return counts
 
 
 def _lcp(a: Codeword, b: Codeword) -> int:

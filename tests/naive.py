@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import ProbabilityDistribution
+from pdzip.core import ProbabilityDistribution
 
 
 # ----------------------------------------------------------------------

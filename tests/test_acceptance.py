@@ -30,7 +30,6 @@ from pdzip.core import (
     parse_distribution,
     relative_entropy,
 )
-from pdzip.naive import LinkedTree, naive_code_tree_depths
 from pdzip.refine import RefinePayload, compress_refined, decompress_refined, refine_step
 from pdzip.sparse import (
     build_query_table,
@@ -44,6 +43,7 @@ from pdzip.succinct import SuccinctTreeIndex, build_smoothed
 from pdzip.treebuild import StrictTreeShape, code_tree
 from pdzip.treecode import decode_tree, encode_tree, implied_distribution
 from conftest import floor_caps, ordered_tree_fits, random_tree_depths
+from naive import LinkedTree, naive_code_tree_depths
 
 SPARSE_CONSTANT = 1.71807  # log2(pi^2/3) rounded up at the 5th decimal
 

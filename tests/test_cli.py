@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from pdzip import container as cont
+from pdzip.bits import Bits
 from pdzip.cli import (
     format_exact_decimal,
     format_probability,
@@ -280,6 +282,25 @@ class TestCorruption:
             code, _, stderr = run(capsys, "decompress", str(box), out)
             assert code == 2, f"byte {at}"
             assert "error" in stderr
+
+    def test_tree_bits_that_are_no_tree(self, tmp_path, capsys):
+        # right-length payloads pass unpack, so opening the tree rejects
+        # them: 1111 never closes the tree and 0010 closes it too early
+        box = tmp_path / "p.pdz"
+        out = str(tmp_path / "q.txt")
+        for tree_bits in ("1111", "0010"):
+            for container in (
+                    cont.Container(cont.METHOD_TREE, 3,
+                                   Bits.from_string(tree_bits)),
+                    cont.Container(cont.METHOD_REFINE, 3,
+                                   Bits.from_string(tree_bits + "101"), k=3)):
+                box.write_bytes(container.pack())
+                for argv in (("query", "--index", "2", str(box)),
+                             ("decompress", str(box), out)):
+                    code, stdout, stderr = run(capsys, *argv)
+                    assert code == 2, (tree_bits, argv)
+                    assert stdout == ""
+                    assert "pdzip: error:" in stderr and "tree" in stderr
 
     def test_truncated_file(self, tmp_path, capsys):
         src = write_dist(tmp_path / "p.txt", [1, 1, 1, 1])

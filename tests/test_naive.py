@@ -12,7 +12,8 @@ import pytest
 
 from pdzip.bits import Bits
 from pdzip.core import ProbabilityDistribution, entropy, relative_entropy
-from pdzip.naive import (
+from pdzip.treebuild import code_tree
+from naive import (
     LinkedTree,
     naive_code_tree_depths,
     naive_codeword_bits,
@@ -22,7 +23,6 @@ from pdzip.naive import (
     naive_entropy,
     naive_trie,
 )
-from pdzip.treebuild import code_tree
 
 
 def dist(*weights):

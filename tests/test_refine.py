@@ -19,7 +19,7 @@ from pdzip.refine import (
     refine_step,
 )
 from pdzip.treebuild import ZeroProbabilityError
-from pdzip.treecode import TreePayload, decode_tree
+from pdzip.treecode import TreePayload, decode_tree, implied_distribution
 from conftest import random_distribution
 
 
@@ -192,6 +192,20 @@ class TestDecompressRefined:
                     (2 * qi if b else qi) / normalizer
                     for qi, b in zip(q, level_bits)))
             assert tuple(q) == tuple(decompress_refined(payload))
+
+    def test_matches_encoder_levels(self):
+        # the closed form lands on the distribution the encoder's last
+        # refine_step returned, Fraction for Fraction
+        rng = random.Random(79)
+        for _ in range(200):
+            p = random_distribution(rng, rng.randint(1, 60))
+            k = rng.randint(2, 8)
+            payload = compress_refined(p, k)
+            q = implied_distribution(
+                decode_tree(payload.base)).to_distribution()
+            for level in range(3, k + 1):
+                _, q = refine_step(p, q, level)
+            assert tuple(decompress_refined(payload)) == tuple(q)
 
 
 class TestBounds:

@@ -11,7 +11,6 @@ from pdzip.core import (
     max_ratio,
     relative_entropy,
 )
-from pdzip.naive import LinkedTree
 from pdzip.succinct import (
     NavigationError,
     SuccinctTreeIndex,
@@ -20,8 +19,10 @@ from pdzip.succinct import (
     smooth,
 )
 from pdzip.treebuild import StrictTreeShape, ZeroProbabilityError, code_tree
-from pdzip.treecode import TreePayload, encode_tree
+from pdzip.treecode import (MalformedPayloadError, TreePayload, decode_tree,
+                            encode_tree)
 from conftest import floor_caps, ordered_tree_fits, random_tree_depths
+from naive import LinkedTree
 
 
 def dist(*weights):
@@ -156,6 +157,38 @@ class TestConstruction:
             SuccinctTreeIndex(Bits.from_string("10"), 1)
         with pytest.raises(ValueError):
             SuccinctTreeIndex(Bits.from_string("111"), 2)
+
+    def test_malformed_payload_rejected(self):
+        for bad in ("1111", "0010"):
+            with pytest.raises(MalformedPayloadError):
+                SuccinctTreeIndex.from_payload(
+                    TreePayload(Bits.from_string(bad), 3))
+
+    def test_payload_check_matches_decoder(self):
+        # the index accepts exactly the payloads decode_tree accepts and
+        # then has the same leaf depths: every bit string up to n = 8, and
+        # valid trees with one or two flipped bits up to n = 400, where
+        # the flags span several words and blocks
+        rng = random.Random(211)
+        payloads = [TreePayload(Bits.from_int(value, 2 * n - 2), n)
+                    for n in range(1, 9) for value in range(1 << (2 * n - 2))]
+        for _ in range(300):
+            n = rng.randint(9, 400)
+            good = encode_tree(StrictTreeShape(random_tree_depths(rng, n)))
+            value = good.bits.as_int()
+            for _ in range(rng.randint(0, 2)):
+                value ^= 1 << rng.randrange(2 * n - 2)
+            payloads.append(TreePayload(Bits.from_int(value, 2 * n - 2), n))
+        for payload in payloads:
+            try:
+                depths = decode_tree(payload).leaf_depths
+            except MalformedPayloadError:
+                with pytest.raises(MalformedPayloadError):
+                    SuccinctTreeIndex.from_payload(payload)
+                continue
+            idx = SuccinctTreeIndex.from_payload(payload)
+            assert tuple(idx.leaf_depth(i)
+                         for i in range(1, payload.n + 1)) == depths
 
 
 class TestSmoothing:

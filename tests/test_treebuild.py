@@ -17,6 +17,7 @@ from pdzip.treebuild import (
     midpoints,
 )
 from conftest import ordered_tree_fits, random_distribution
+from naive import naive_contract, naive_leaf_depths, naive_trie
 
 
 def dist(*weights):
@@ -107,6 +108,27 @@ class TestContraction:
     def test_duplicate(self):
         with pytest.raises(CodewordSetError):
             contract_to_strict([cw("01"), cw("01")])
+
+    def test_empty(self):
+        with pytest.raises(CodewordSetError):
+            contract_to_strict([])
+
+    def test_every_sorted_set_of_short_codewords(self):
+        # all 2^14 sets of distinct codewords of length 1..3, sorted: the
+        # result is the per-bit trie contraction exactly when the set is
+        # prefix-free, and CodewordSetError otherwise
+        words = sorted("".join(bits) for length in (1, 2, 3)
+                       for bits in itertools.product("01", repeat=length))
+        for mask in range(1, 1 << len(words)):
+            chosen = [w for k, w in enumerate(words) if mask >> k & 1]
+            try:
+                want = naive_leaf_depths(naive_contract(naive_trie(chosen)))
+            except ValueError:
+                with pytest.raises(CodewordSetError):
+                    contract_to_strict([cw(w) for w in chosen])
+            else:
+                got = contract_to_strict([cw(w) for w in chosen])
+                assert got.leaf_depths == want, chosen
 
 
 class TestCodeTree:
