@@ -26,20 +26,17 @@ from .sparse import (
     build_query_table,
     compress_sparse,
     decompress_sparse,
-    query_sparse,
     select_heavy,
 )
 from .succinct import (
     NavigationError,
     SuccinctTreeIndex,
-    build_index,
     build_smoothed,
     smooth,
 )
 from .treebuild import (
     Codeword,
     CodewordSetError,
-    PrefixMidpoints,
     ZeroProbabilityError,
     code_tree,
     codeword,
@@ -69,7 +66,6 @@ __all__ = [
     "InfiniteDivergenceError",
     "MalformedPayloadError",
     "NavigationError",
-    "PrefixMidpoints",
     "ProbabilityDistribution",
     "RefinePayload",
     "SparsePayload",
@@ -78,7 +74,6 @@ __all__ = [
     "SuccinctTreeIndex",
     "TreePayload",
     "ZeroProbabilityError",
-    "build_index",
     "build_query_table",
     "build_smoothed",
     "code_tree",
@@ -97,7 +92,6 @@ __all__ = [
     "max_ratio",
     "midpoints",
     "parse_distribution",
-    "query_sparse",
     "refine_step",
     "relative_entropy",
     "select_heavy",

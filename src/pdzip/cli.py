@@ -25,16 +25,11 @@ from .core import (
     parse_distribution,
     relative_entropy,
 )
-from .refine import compress_refined, decompress_refined, refined_weights
-from .sparse import (
-    SparsePayload,
-    build_query_table,
-    compress_sparse,
-    decompress_sparse,
-)
-from .succinct import SuccinctTreeIndex, smooth
+from .refine import compress_refined
+from .sparse import build_query_table, compress_sparse
+from .succinct import smooth
 from .treebuild import ZeroProbabilityError
-from .treecode import compress_tree, decode_tree, implied_distribution
+from .treecode import compress_tree
 
 _LOG2_PI2_3 = 1.7180297582234814  # log2(pi^2 / 3), the sparse-method constant
 
@@ -68,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compress", help="compress a distribution file")
     p.add_argument("--method", required=True,
-                   choices=["tree", "refine", "sparse", "sparse-queryable"])
+                   choices=[m.name for m in cont.METHODS.values()])
     p.add_argument("--k", type=int, default=None,
                    help="refinement levels (refine only, default 3)")
     p.add_argument("--c", type=_rational, default=None,
@@ -162,17 +157,7 @@ def _read_container(path: str) -> cont.Container:
 
 def _decode_values(container: cont.Container):
     """The stored distribution as a list of Fractions or floats."""
-    if container.method == cont.METHOD_TREE:
-        shape = decode_tree(cont.tree_payload(container))
-        return list(implied_distribution(shape).probabilities())
-    if container.method == cont.METHOD_REFINE:
-        return list(decompress_refined(cont.refine_payload(container)).entries)
-    if container.method == cont.METHOD_SPARSE:
-        return list(decompress_sparse(cont.sparse_payload(container)).entries)
-    table = cont.query_table(container)
-    ranked = sorted(table.pairs, key=lambda pr: pr[1])
-    payload = SparsePayload(table.n, table.c, tuple(idx for idx, _ in ranked))
-    return list(decompress_sparse(payload).entries)
+    return container.spec.values(container.open())
 
 
 # ----------------------------------------------------------------------
@@ -199,22 +184,21 @@ def cmd_compress(args) -> int:
             raise ZeroProbabilityError(
                 "input has zero probabilities; re-run with --epsilon")
         if method == "tree":
-            container = cont.container_for_tree(compress_tree(dist))
+            payload = compress_tree(dist)
         else:
             k = 3 if args.k is None else args.k
             if k < 2:
                 raise UsageError("--k must be at least 2")
-            container = cont.container_for_refined(compress_refined(dist, k))
+            payload = compress_refined(dist, k)
     else:
         c = Fraction(1) if args.c is None else args.c
         if c < 1:
             raise UsageError("--c must be at least 1")
         payload = compress_sparse(dist, c)
-        if method == "sparse":
-            container = cont.container_for_sparse(payload)
-        else:
-            container = cont.container_for_query_table(build_query_table(payload))
+        if method == "sparse-queryable":
+            payload = build_query_table(payload)
 
+    container = cont.container_for(payload)
     data = container.pack()
     with open(args.output, "wb") as fh:
         fh.write(data)
@@ -242,24 +226,12 @@ def cmd_query(args) -> int:
     if not 1 <= i <= container.n:
         raise DistributionError(
             f"index {i} out of range for n={container.n}")
-    if container.method == cont.METHOD_TREE:
-        index = SuccinctTreeIndex.from_payload(cont.tree_payload(container))
-        value = index.query_prob(i)
-    elif container.method == cont.METHOD_REFINE:
-        value = _query_refined(container, i)
-    elif container.method == cont.METHOD_SPARSE_QUERYABLE:
-        value = cont.query_table(container).lookup(i)[0]
-    else:
-        raise UsageError(
-            "method sparse stores no query structure; use sparse-queryable")
-    print(format_probability(value, 17))
+    query = container.spec.query
+    if query is None:
+        raise UsageError(f"method {container.method_name} stores no query "
+                         "structure; use sparse-queryable")
+    print(format_probability(query(container.open(), i), 17))
     return 0
-
-
-def _query_refined(container: cont.Container, i: int) -> Fraction:
-    """q_i from the integer refine weights, without materializing Q."""
-    weights, total = refined_weights(cont.refine_payload(container))
-    return Fraction(weights[i - 1], total)
 
 
 def cmd_stats(args) -> int:
@@ -284,7 +256,7 @@ def cmd_stats(args) -> int:
         formula = f"2n-2 = {2 * n - 2}"
     elif container.method == cont.METHOD_REFINE:
         k = container.k
-        r = 2 + 2 ** (3 - k) if k >= 3 else 4
+        r = 2 + 2 ** (3 - k)
         lines.append(f"divergence: {d:.12g} bits (bound: < {math.log2(r):.6g})")
         lines.append(f"max_ratio: {float(ratio):.12g} (bound: < {float(r):.6g})")
         formula = f"kn-2 = {k * n - 2}"
@@ -297,8 +269,7 @@ def cmd_stats(args) -> int:
                                          c=container.c, t=container.t)
         formula = f"t={container.t} entries = {per}"
     lines.append(f"payload_bits: {len(container.payload)} ({formula})")
-    with open(args.compressed, "rb") as fh:
-        lines.append(f"container_bytes: {len(fh.read())}")
+    lines.append(f"container_bytes: {len(container.pack())}")
     print("\n".join(lines))
     return 0
 
@@ -306,11 +277,8 @@ def cmd_stats(args) -> int:
 def cmd_info(args) -> int:
     container = _read_container(args.input)
     lines = [f"method: {container.method_name}", f"n: {container.n}"]
-    if container.method == cont.METHOD_REFINE:
-        lines.append(f"k: {container.k}")
-    elif container.method in (cont.METHOD_SPARSE, cont.METHOD_SPARSE_QUERYABLE):
-        lines.append(f"c: {container.c}")
-        lines.append(f"t: {container.t}")
+    for name, value in zip(container.spec.params, container.params):
+        lines.append(f"{name}: {value}")
     lines.append(f"payload_bits: {len(container.payload)}")
     lines.append(f"container_bytes: {len(container.pack())}")
     print("\n".join(lines))

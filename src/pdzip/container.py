@@ -7,18 +7,24 @@ payload packed most-significant-bit-first and zero-padded to a byte
 boundary.  The bit length must equal the method's exact formula, so a
 size mismatch is reported as corruption.  Header bytes are deliberately
 excluded from the size guarantees the codecs make about their payloads.
+
+Each method is one record in METHODS: its header fields, payload length
+formula, payload class, decoder and point query.  The container and the
+CLI read every per-method decision from that record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .bits import Bits
-from .refine import RefinePayload
-from .sparse import SparsePayload, SparseQueryTable, index_width, rank_width
-from .treecode import TreePayload
+from .refine import RefinePayload, decompress_refined, refined_weights
+from .sparse import (SparsePayload, SparseQueryTable, decompress_sparse,
+                     index_width, rank_width)
+from .succinct import SuccinctTreeIndex
+from .treecode import TreePayload, decode_tree, implied_distribution
 
 MAGIC = b"PDZ1"
 
@@ -27,32 +33,124 @@ METHOD_REFINE = 0x02
 METHOD_SPARSE = 0x03
 METHOD_SPARSE_QUERYABLE = 0x04
 
-METHOD_NAMES = {
-    METHOD_TREE: "tree",
-    METHOD_REFINE: "refine",
-    METHOD_SPARSE: "sparse",
-    METHOD_SPARSE_QUERYABLE: "sparse-queryable",
-}
-
-_U64_MAX = (1 << 64) - 1
-
-
 class ContainerFormatError(ValueError):
     """The byte stream is not a valid container."""
+
+
+@dataclass(frozen=True)
+class Method:
+    """One codec as the container and the CLI see it.
+
+    `params` names the header fields the method stores, in stored order.
+    With those values as *params: payload_bits(n, *params) is the exact
+    payload length, payload_type.from_bits(bits, n, *params) and to_bits()
+    convert the payload object, values(payload) lists q_1..q_n, and
+    query(payload, i) answers q_i alone, or is None when the method
+    stores no query structure.
+    """
+
+    tag: int
+    name: str
+    params: tuple[str, ...]
+    payload_bits: Callable[..., int]
+    payload_type: type
+    values: Callable[[Any], list]
+    query: Optional[Callable[[Any, int], Any]]
+
+
+def _refined_prob(payload: RefinePayload, i: int) -> Fraction:
+    """q_i from the integer refine weights, without materializing Q."""
+    weights, total = refined_weights(payload)
+    return Fraction(weights[i - 1], total)
+
+
+# the lambdas look module functions up when called, so a wrapper installed
+# on a module name (a tracer, a test double) also sees calls made here
+METHODS = {m.tag: m for m in (
+    Method(tag=METHOD_TREE, name="tree", params=(),
+           payload_bits=lambda n: 2 * n - 2,
+           payload_type=TreePayload,
+           values=lambda p: list(
+               implied_distribution(decode_tree(p)).probabilities()),
+           query=lambda p, i: SuccinctTreeIndex.from_payload(p).query_prob(i)),
+    Method(tag=METHOD_REFINE, name="refine", params=("k",),
+           payload_bits=lambda n, k: k * n - 2,
+           payload_type=RefinePayload,
+           values=lambda p: list(decompress_refined(p).entries),
+           query=_refined_prob),
+    Method(tag=METHOD_SPARSE, name="sparse", params=("c", "t"),
+           payload_bits=lambda n, c, t: t * index_width(n),
+           payload_type=SparsePayload,
+           values=lambda p: list(decompress_sparse(p).entries),
+           query=None),
+    Method(tag=METHOD_SPARSE_QUERYABLE, name="sparse-queryable",
+           params=("c", "t"),
+           payload_bits=lambda n, c, t: t * (index_width(n) + rank_width(n, c)),
+           payload_type=SparseQueryTable,
+           values=lambda p: list(decompress_sparse(p.sparse_payload()).entries),
+           query=lambda p, i: p.lookup(i)[0]),
+)}
+
+
+def _uint(chunk) -> int:
+    return int.from_bytes(chunk, "little")
+
+
+def _read_c(take) -> Fraction:
+    num, den = _uint(take(8)), _uint(take(8))
+    if den == 0:
+        raise ContainerFormatError("c denominator is zero")
+    return Fraction(num, den)
+
+
+# header field -> (value to bytes, value read back through take(nbytes))
+_FIELDS = {
+    "k": (lambda k: k.to_bytes(2, "little"), lambda take: _uint(take(2))),
+    "c": (lambda c: (c.numerator.to_bytes(8, "little")
+                     + c.denominator.to_bytes(8, "little")), _read_c),
+    "t": (lambda t: t.to_bytes(8, "little"), lambda take: _uint(take(8))),
+}
+
+
+def _method(tag: int) -> Method:
+    try:
+        return METHODS[tag]
+    except KeyError:
+        raise ContainerFormatError(f"unknown method tag {tag:#x}") from None
+
+
+def _check(method: int, n: int, params: dict) -> Method:
+    """The method's record; ContainerFormatError unless the header fields
+    are the ones the method takes, hold valid values and fit the header."""
+    spec = _method(method)
+    if {name for name, v in params.items() if v is not None} != set(spec.params):
+        raise ContainerFormatError(
+            f"{spec.name} container takes "
+            + (" and ".join(spec.params) or "no parameters"))
+    k, c, t = params.get("k"), params.get("c"), params.get("t")
+    if n < 1:
+        raise ContainerFormatError("n must be at least 1")
+    if k is not None and k < 2:
+        raise ContainerFormatError("k must be at least 2")
+    if c is not None and c < 1:
+        raise ContainerFormatError("c must be at least 1")
+    if t is not None and t > n:
+        raise ContainerFormatError("t exceeds n")
+    try:
+        n.to_bytes(8, "little")
+        for name in spec.params:
+            _FIELDS[name][0](params[name])
+    except OverflowError:
+        raise ContainerFormatError("a header field does not fit its width") from None
+    return spec
 
 
 def expected_payload_bits(method: int, n: int, k: Optional[int] = None,
                           c: Optional[Fraction] = None,
                           t: Optional[int] = None) -> int:
-    if method == METHOD_TREE:
-        return 2 * n - 2
-    if method == METHOD_REFINE:
-        return k * n - 2
-    if method == METHOD_SPARSE:
-        return t * index_width(n)
-    if method == METHOD_SPARSE_QUERYABLE:
-        return t * (index_width(n) + rank_width(n, c))
-    raise ContainerFormatError(f"unknown method tag {method:#x}")
+    spec = _method(method)
+    given = {"k": k, "c": c, "t": t}
+    return spec.payload_bits(n, *(given[name] for name in spec.params))
 
 
 @dataclass(frozen=True)
@@ -65,49 +163,35 @@ class Container:
     t: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.method not in METHOD_NAMES:
-            raise ContainerFormatError(f"unknown method tag {self.method:#x}")
-        if not 1 <= self.n <= _U64_MAX:
-            raise ContainerFormatError("n out of range")
-        if self.method == METHOD_REFINE:
-            if self.k is None or not 2 <= self.k <= 0xFFFF:
-                raise ContainerFormatError("refine container needs 2 <= k < 2^16")
-            if self.c is not None or self.t is not None:
-                raise ContainerFormatError("refine container takes only k")
-        elif self.method in (METHOD_SPARSE, METHOD_SPARSE_QUERYABLE):
-            if self.c is None or self.t is None:
-                raise ContainerFormatError("sparse container needs c and t")
-            if self.k is not None:
-                raise ContainerFormatError("sparse container takes no k")
-            if self.c < 1:
-                raise ContainerFormatError("c must be at least 1")
-            if not (1 <= self.c.numerator <= _U64_MAX
-                    and 1 <= self.c.denominator <= _U64_MAX):
-                raise ContainerFormatError("c does not fit the header fields")
-            if not 0 <= self.t <= self.n:
-                raise ContainerFormatError("t out of range")
-        else:
-            if self.k is not None or self.c is not None or self.t is not None:
-                raise ContainerFormatError("tree container takes no parameters")
-        want = expected_payload_bits(self.method, self.n, self.k, self.c, self.t)
+        spec = _check(self.method, self.n, {"k": self.k, "c": self.c, "t": self.t})
+        want = spec.payload_bits(self.n, *self.params)
         if len(self.payload) != want:
             raise ContainerFormatError(
                 f"payload is {len(self.payload)} bits, method requires {want}")
 
     @property
+    def spec(self) -> Method:
+        return METHODS[self.method]
+
+    @property
     def method_name(self) -> str:
-        return METHOD_NAMES[self.method]
+        return self.spec.name
+
+    @property
+    def params(self) -> tuple:
+        """The header field values, in stored order."""
+        return tuple(getattr(self, name) for name in self.spec.params)
+
+    def open(self):
+        """The method's payload object, read from the stored bits."""
+        return self.spec.payload_type.from_bits(self.payload, self.n, *self.params)
 
     def pack(self) -> bytes:
         out = bytearray(MAGIC)
         out.append(self.method)
         out += self.n.to_bytes(8, "little")
-        if self.method == METHOD_REFINE:
-            out += self.k.to_bytes(2, "little")
-        elif self.method in (METHOD_SPARSE, METHOD_SPARSE_QUERYABLE):
-            out += self.c.numerator.to_bytes(8, "little")
-            out += self.c.denominator.to_bytes(8, "little")
-            out += self.t.to_bytes(8, "little")
+        for name, value in zip(self.spec.params, self.params):
+            out += _FIELDS[name][0](value)
         out += len(self.payload).to_bytes(8, "little")
         out += self.payload.packed_bytes()
         return bytes(out)
@@ -127,32 +211,12 @@ def unpack(data: bytes) -> Container:
         off += nbytes
         return chunk
 
-    method = take(1)[0]
-    if method not in METHOD_NAMES:
-        raise ContainerFormatError(f"unknown method tag {method:#x}")
-    n = int.from_bytes(take(8), "little")
-    if n < 1:
-        raise ContainerFormatError("n must be at least 1")
-    k = None
-    c = None
-    t = None
-    if method == METHOD_REFINE:
-        k = int.from_bytes(take(2), "little")
-        if k < 2:
-            raise ContainerFormatError("k must be at least 2")
-    elif method in (METHOD_SPARSE, METHOD_SPARSE_QUERYABLE):
-        c_num = int.from_bytes(take(8), "little")
-        c_den = int.from_bytes(take(8), "little")
-        if c_den == 0:
-            raise ContainerFormatError("c denominator is zero")
-        c = Fraction(c_num, c_den)
-        if c < 1:
-            raise ContainerFormatError("c must be at least 1")
-        t = int.from_bytes(take(8), "little")
-        if t > n:
-            raise ContainerFormatError("t exceeds n")
-    bit_length = int.from_bytes(take(8), "little")
-    want = expected_payload_bits(method, n, k, c, t)
+    spec = _method(take(1)[0])
+    n = _uint(take(8))
+    params = {name: _FIELDS[name][1](take) for name in spec.params}
+    _check(spec.tag, n, params)
+    bit_length = _uint(take(8))
+    want = spec.payload_bits(n, *params.values())
     if bit_length != want:
         raise ContainerFormatError(
             f"payload bit length {bit_length} does not match the method "
@@ -164,54 +228,34 @@ def unpack(data: bytes) -> Container:
         payload = Bits(bytes(payload_bytes), bit_length)
     except ValueError as exc:
         raise ContainerFormatError(f"payload padding: {exc}") from None
-    return Container(method, n, payload, k=k, c=c, t=t)
+    return Container(spec.tag, n, payload, **params)
 
 
 # ----------------------------------------------------------------------
 # bridges between payload objects and containers
 
-def container_for_tree(payload: TreePayload) -> Container:
-    return Container(METHOD_TREE, payload.n, payload.bits)
+def container_for(payload) -> Container:
+    """The container holding a payload object of any method."""
+    spec = next(m for m in METHODS.values() if isinstance(payload, m.payload_type))
+    return Container(spec.tag, payload.n, payload.to_bits(),
+                     **{name: getattr(payload, name) for name in spec.params})
 
 
-def container_for_refined(payload: RefinePayload) -> Container:
-    return Container(METHOD_REFINE, payload.n, payload.to_bits(), k=payload.k)
+container_for_tree = container_for_refined = container_for
+container_for_sparse = container_for_query_table = container_for
 
 
-def container_for_sparse(payload: SparsePayload) -> Container:
-    return Container(METHOD_SPARSE, payload.n, payload.to_bits(),
-                     c=payload.c, t=payload.t)
+def _payload_of(tag: int) -> Callable[[Container], Any]:
+    def payload_of(container: Container):
+        if container.method != tag:
+            raise ContainerFormatError(
+                f"container holds method {container.method_name}, "
+                f"not {METHODS[tag].name}")
+        return container.open()
+    return payload_of
 
 
-def container_for_query_table(table: SparseQueryTable) -> Container:
-    return Container(METHOD_SPARSE_QUERYABLE, table.n, table.to_bits(),
-                     c=table.c, t=table.t)
-
-
-def tree_payload(container: Container) -> TreePayload:
-    _expect(container, METHOD_TREE)
-    return TreePayload(container.payload, container.n)
-
-
-def refine_payload(container: Container) -> RefinePayload:
-    _expect(container, METHOD_REFINE)
-    return RefinePayload.from_bits(container.payload, container.n, container.k)
-
-
-def sparse_payload(container: Container) -> SparsePayload:
-    _expect(container, METHOD_SPARSE)
-    return SparsePayload.from_bits(container.payload, container.n,
-                                   container.c, container.t)
-
-
-def query_table(container: Container) -> SparseQueryTable:
-    _expect(container, METHOD_SPARSE_QUERYABLE)
-    return SparseQueryTable.from_bits(container.payload, container.n,
-                                      container.c, container.t)
-
-
-def _expect(container: Container, method: int) -> None:
-    if container.method != method:
-        raise ContainerFormatError(
-            f"container holds method {container.method_name}, "
-            f"not {METHOD_NAMES[method]}")
+tree_payload = _payload_of(METHOD_TREE)
+refine_payload = _payload_of(METHOD_REFINE)
+sparse_payload = _payload_of(METHOD_SPARSE)
+query_table = _payload_of(METHOD_SPARSE_QUERYABLE)

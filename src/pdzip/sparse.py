@@ -180,9 +180,6 @@ class SparseQueryTable:
     def bit_length(self) -> int:
         return self.t * (index_width(self.n) + rank_width(self.n, self.c))
 
-    def light_value(self) -> float:
-        return _light_value(self.n, self.t)
-
     def lookup(self, i: int) -> tuple[float, int]:
         """(probability of symbol i, number of comparisons made).
 
@@ -212,6 +209,11 @@ class SparseQueryTable:
                     value /= total
                 return value, comparisons
         return _light_value(self.n, self.t), comparisons
+
+    def sparse_payload(self) -> SparsePayload:
+        """The heavy indices back in rank order, as select_heavy gave them."""
+        ranked = sorted(self.pairs, key=lambda pair: pair[1])
+        return SparsePayload(self.n, self.c, tuple(idx for idx, _ in ranked))
 
     def to_bits(self) -> Bits:
         w = index_width(self.n)
@@ -268,8 +270,8 @@ def select_heavy(dist: ProbabilityDistribution, c: Fraction) -> SparsePayload:
     return SparsePayload(n, c, tuple(i for _, i in heavy))
 
 
-def compress_sparse(dist: ProbabilityDistribution, c: Fraction) -> SparsePayload:
-    return select_heavy(dist, c)
+# the codec's compress step is the heavy-symbol selection itself
+compress_sparse = select_heavy
 
 
 def decompress_sparse(payload: SparsePayload) -> ApproxDistribution:
@@ -297,9 +299,3 @@ def decompress_sparse(payload: SparsePayload) -> ApproxDistribution:
 def build_query_table(payload: SparsePayload) -> SparseQueryTable:
     pairs = sorted((r, j) for j, r in enumerate(payload.heavy_indices, start=1))
     return SparseQueryTable(payload.n, payload.c, tuple(pairs))
-
-
-def query_sparse(table: SparseQueryTable, i: int) -> float:
-    """Probability of symbol i straight from the table, O(log t) time."""
-    value, _ = table.lookup(i)
-    return value

@@ -25,8 +25,8 @@ import math
 from fractions import Fraction
 
 from .bits import Bits
-from .core import DistributionError, ProbabilityDistribution, ceil_log2_ratio
-from .treebuild import ZeroProbabilityError, capped_tree, code_tree
+from .core import ProbabilityDistribution, ceil_log2_ratio
+from .treebuild import capped_tree, code_tree
 from .treecode import (MalformedPayloadError, StrictTreeShape, TreePayload,
                        encode_tree)
 
@@ -319,10 +319,6 @@ class SuccinctTreeIndex:
     def node_count(self) -> int:
         return self._m
 
-    def shape_bit(self, v: int) -> int:
-        self._check_handle(v)
-        return self._bit(v)
-
     def is_leaf(self, v: int) -> bool:
         self._check_handle(v)
         return self._bit(v) == 0
@@ -420,18 +416,6 @@ class SuccinctTreeIndex:
     def total_bits(self) -> int:
         """Shape bits plus directory bits."""
         return self._m + self.aux_bits()
-
-
-def build_index(dist: ProbabilityDistribution) -> SuccinctTreeIndex:
-    """Index over the code tree of a strictly positive distribution.
-
-    The implied dyadic Q keeps every ratio p_i/q_i below 4, so a query
-    for q_i takes O(log(1/q_i)) descent steps.
-    """
-    if not dist.strictly_positive():
-        raise ZeroProbabilityError(
-            "distribution has zero entries; use build_smoothed")
-    return SuccinctTreeIndex.from_tree_shape(code_tree(dist))
 
 
 def smooth(dist: ProbabilityDistribution, eps: Fraction) -> ProbabilityDistribution:

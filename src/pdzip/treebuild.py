@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     DistributionError,
@@ -32,28 +32,6 @@ class ZeroProbabilityError(DistributionError):
 
 class CodewordSetError(ValueError):
     """Codewords that are not prefix-free and strictly increasing."""
-
-
-@dataclass(frozen=True)
-class PrefixMidpoints:
-    """S_i = p_i/2 + sum_{j<i} p_j for each i, strictly increasing in [0, 1)."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        prev = None
-        for s in self.values:
-            if not 0 <= s < 1:
-                raise ValueError("midpoint outside [0, 1)")
-            if prev is not None and s <= prev:
-                raise ValueError("midpoints must be strictly increasing")
-            prev = s
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -79,8 +57,12 @@ class Codeword:
         return self.to01()
 
 
-def midpoints(dist: ProbabilityDistribution) -> PrefixMidpoints:
-    """The in-order interval midpoints of a strictly positive distribution."""
+def midpoints(dist: ProbabilityDistribution) -> tuple[Fraction, ...]:
+    """S_i = p_i/2 + sum_{j<i} p_j for a strictly positive distribution.
+
+    Because the p_i are positive and sum to 1, the S_i increase strictly
+    within (0, 1).
+    """
     vals = []
     acc = Fraction(0)
     for i, p in enumerate(dist.entries):
@@ -88,7 +70,7 @@ def midpoints(dist: ProbabilityDistribution) -> PrefixMidpoints:
             raise ZeroProbabilityError(f"entry {i + 1} is zero")
         vals.append(acc + p / 2)
         acc += p
-    return PrefixMidpoints(tuple(vals))
+    return tuple(vals)
 
 
 def codeword(midpoint: Fraction, prob: Fraction) -> Codeword:
@@ -161,8 +143,7 @@ def code_tree(dist: ProbabilityDistribution) -> StrictTreeShape:
         if dist.entries[0] <= 0:
             raise ZeroProbabilityError("entry 1 is zero")
         return StrictTreeShape((0,))
-    mids = midpoints(dist)
-    words = [codeword(s, p) for s, p in zip(mids.values, dist.entries)]
+    words = [codeword(s, p) for s, p in zip(midpoints(dist), dist.entries)]
     return contract_to_strict(words)
 
 

@@ -78,6 +78,13 @@ class TreePayload:
                 f"expected {2 * self.n - 2} bits for n={self.n}, "
                 f"got {len(self.bits)}")
 
+    def to_bits(self) -> Bits:
+        return self.bits
+
+    @classmethod
+    def from_bits(cls, bits: Bits, n: int) -> "TreePayload":
+        return cls(bits, n)
+
 
 @dataclass(frozen=True)
 class DyadicDistribution:

@@ -19,8 +19,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from pdzip.bits import Bits
 from pdzip.cli import main as cli_main
 from pdzip.core import (
@@ -30,7 +28,7 @@ from pdzip.core import (
     parse_distribution,
     relative_entropy,
 )
-from pdzip.refine import RefinePayload, compress_refined, decompress_refined, refine_step
+from pdzip.refine import RefinePayload, decompress_refined, refine_step
 from pdzip.sparse import (
     build_query_table,
     decompress_sparse,

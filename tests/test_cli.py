@@ -243,11 +243,13 @@ class TestStats:
     def test_refine_stats_bound_text(self, tmp_path, capsys):
         src = write_dist(tmp_path / "p.txt", [7, 3])
         box = str(tmp_path / "p.pdz")
-        run(capsys, "compress", "--method", "refine", "--k", "4", src, box)
-        code, stdout, _ = run(capsys, "stats", "--original", src,
-                              "--compressed", box)
-        assert code == 0
-        assert "bound: < 2.5" in stdout  # ratio bound at k=4
+        # ratio bound 2 + 2^(3-k); k = 2 is the bare tree's 4
+        for k, bound in (("4", "bound: < 2.5"), ("2", "bound: < 4")):
+            run(capsys, "compress", "--method", "refine", "--k", k, src, box)
+            code, stdout, _ = run(capsys, "stats", "--original", src,
+                                  "--compressed", box)
+            assert code == 0
+            assert bound in stdout
 
     def test_sparse_stats(self, tmp_path, capsys):
         src = write_dist(tmp_path / "p.txt", [13, 1, 1, 1])

@@ -1,3 +1,4 @@
+import argparse
 import random
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from pdzip.container import (
     METHOD_SPARSE,
     METHOD_SPARSE_QUERYABLE,
     METHOD_TREE,
+    METHODS,
     Container,
     ContainerFormatError,
+    container_for,
     container_for_query_table,
     container_for_refined,
     container_for_sparse,
@@ -23,6 +26,7 @@ from pdzip.container import (
     tree_payload,
     unpack,
 )
+from pdzip.cli import build_parser
 from pdzip.core import ProbabilityDistribution
 from pdzip.refine import compress_refined
 from pdzip.sparse import build_query_table, select_heavy
@@ -188,6 +192,68 @@ class TestConstructorChecks:
         with pytest.raises(ContainerFormatError):
             Container(METHOD_SPARSE, 4, Bits.empty())
 
+    def test_fields_must_fit_the_header(self):
+        tree = Bits.from_string("10")
+        for bad in (lambda: Container(METHOD_TREE, 1 << 64, Bits.empty()),
+                    lambda: Container(METHOD_REFINE, 2, tree, k=1 << 16),
+                    lambda: Container(METHOD_SPARSE, 4, Bits.empty(),
+                                      c=Fraction(1 << 64), t=0),
+                    lambda: Container(METHOD_SPARSE, 4, Bits.empty(),
+                                      c=Fraction(1), t=-1)):
+            with pytest.raises(ContainerFormatError):
+                bad()
+
     def test_method_names(self):
         box = container_for_tree(compress_tree(dist(1, 1)))
         assert box.method_name == "tree"
+
+
+def sample_payload(tag):
+    p = dist(13, 1, 1, 1)
+    heavy = select_heavy(p, Fraction(3, 2))
+    return {
+        METHOD_TREE: compress_tree(p),
+        METHOD_REFINE: compress_refined(p, 4),
+        METHOD_SPARSE: heavy,
+        METHOD_SPARSE_QUERYABLE: build_query_table(heavy),
+    }[tag]
+
+
+def compress_method_choices():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["compress"]._actions
+                if a.dest == "method").choices
+
+
+@pytest.mark.parametrize("tag", list(METHODS), ids=lambda t: METHODS[t].name)
+class TestMethodTable:
+    def test_round_trip_through_record(self, tag):
+        payload = sample_payload(tag)
+        box = container_for(payload)
+        assert box.method == tag
+        assert box.method_name == METHODS[tag].name
+        again = unpack(box.pack())
+        assert again == box
+        assert again.open() == payload
+        assert len(again.payload) == expected_payload_bits(
+            tag, box.n, k=box.k, c=box.c, t=box.t)
+
+    def test_rejects_fields_it_does_not_take(self, tag):
+        box = container_for(sample_payload(tag))
+        spec = METHODS[tag]
+        extra = {"k": 3, "c": Fraction(1), "t": 0}
+        for name, value in extra.items():
+            if name in spec.params:
+                continue
+            with pytest.raises(ContainerFormatError, match="takes"):
+                Container(tag, box.n, box.payload, **{name: value},
+                          **dict(zip(spec.params, box.params)))
+        for name in spec.params:
+            kept = {p: v for p, v in zip(spec.params, box.params) if p != name}
+            with pytest.raises(ContainerFormatError, match="takes"):
+                Container(tag, box.n, box.payload, **kept)
+
+    def test_cli_offers_the_record(self, tag):
+        assert compress_method_choices() == [m.name for m in METHODS.values()]

@@ -1,0 +1,71 @@
+"""Source hygiene: no unused imports, and a public API that resolves.
+
+The unused-import scan reads each module's AST: a name an import binds
+counts as used when a Name node, the root of an attribute chain, or a
+quoted annotation mentions it.  Package `__init__.py` files re-export
+their imports and `from __future__` imports bind nothing, so neither is
+scanned.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import pdzip
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "pdzip").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py"))
+
+
+def _bound_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # quoted annotations such as -> "SparsePayload"
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return [(name, line) for name, line in _bound_names(tree)
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_an_unused_import():
+    src = ("from __future__ import annotations\n"
+           "import math\nimport os.path\nfrom fractions import Fraction as F\n"
+           "def f(x: 'F'):\n    return os.path.join(x)\n")
+    assert unused_imports(src) == [("math", 2)]
+
+
+def test_public_names_resolve_once():
+    names = pdzip.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(pdzip, name) is not None

@@ -4,7 +4,6 @@ They must agree with the primary pipeline on small inputs; the
 acceptance suite runs the same comparison at scale.
 """
 
-import math
 import random
 from fractions import Fraction
 

@@ -6,7 +6,6 @@ import pytest
 
 from pdzip.core import ProbabilityDistribution, entropy, relative_entropy
 from pdzip.sparse import (
-    ApproxDistribution,
     SparsePayload,
     SparseQueryTable,
     build_query_table,
@@ -14,7 +13,6 @@ from pdzip.sparse import (
     decompress_sparse,
     index_width,
     max_heavy_count,
-    query_sparse,
     rank_width,
     select_heavy,
 )
@@ -238,6 +236,7 @@ class TestQueryTable:
             payload = select_heavy(p, Fraction(rng.randint(1, 3)))
             q = decompress_sparse(payload)
             table = build_query_table(payload)
+            assert table.sparse_payload() == payload
             cap = math.ceil(math.log2(table.t + 1)) + 1
             for i in range(1, p.n + 1):
                 v, comparisons = table.lookup(i)
@@ -283,4 +282,4 @@ class TestDivergenceBound:
 
     def test_query_helper(self):
         table = build_query_table(select_heavy(example_16(), Fraction(1)))
-        assert query_sparse(table, 1) == pytest.approx(Q_RANK_1, abs=1e-12)
+        assert table.lookup(1)[0] == pytest.approx(Q_RANK_1, abs=1e-12)

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -6,7 +5,6 @@ import pytest
 
 from pdzip.bits import Bits
 from pdzip.core import (
-    DistributionError,
     ProbabilityDistribution,
     max_ratio,
     relative_entropy,
@@ -14,7 +12,6 @@ from pdzip.core import (
 from pdzip.succinct import (
     NavigationError,
     SuccinctTreeIndex,
-    build_index,
     build_smoothed,
     smooth,
 )
@@ -134,18 +131,18 @@ class TestOracleEquivalence:
 
 class TestConstruction:
     def test_build_index(self):
-        idx = build_index(dist(2, 1, 1))
+        idx = SuccinctTreeIndex.from_tree_shape(code_tree(dist(2, 1, 1)))
         assert [idx.leaf_depth(i) for i in (1, 2, 3)] == [1, 2, 2]
         assert idx.query_prob(1) == Fraction(1, 2)
 
     def test_build_index_single(self):
-        idx = build_index(dist(1))
+        idx = SuccinctTreeIndex.from_tree_shape(code_tree(dist(1)))
         assert idx.node_count == 1
         assert idx.query_prob(1) == 1
 
     def test_zero_probability_rejected(self):
         with pytest.raises(ZeroProbabilityError):
-            build_index(dist(1, 0))
+            SuccinctTreeIndex.from_tree_shape(code_tree(dist(1, 0)))
 
     def test_from_payload(self):
         payload = TreePayload(Bits.from_string("1010"), 3)

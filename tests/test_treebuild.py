@@ -30,16 +30,15 @@ def cw(s):
 
 class TestMidpoints:
     def test_uniform_four(self):
-        m = midpoints(dist(1, 1, 1, 1))
-        assert m.values == (Fraction(1, 8), Fraction(3, 8),
-                            Fraction(5, 8), Fraction(7, 8))
+        assert midpoints(dist(1, 1, 1, 1)) == (Fraction(1, 8), Fraction(3, 8),
+                                               Fraction(5, 8), Fraction(7, 8))
 
     def test_dyadic(self):
-        m = midpoints(dist(2, 1, 1))
-        assert m.values == (Fraction(1, 4), Fraction(5, 8), Fraction(7, 8))
+        assert midpoints(dist(2, 1, 1)) == (Fraction(1, 4), Fraction(5, 8),
+                                            Fraction(7, 8))
 
     def test_single(self):
-        assert midpoints(dist(1)).values == (Fraction(1, 2),)
+        assert midpoints(dist(1)) == (Fraction(1, 2),)
 
     def test_zero_entry_rejected(self):
         with pytest.raises(ZeroProbabilityError, match="entry 2"):
@@ -49,7 +48,7 @@ class TestMidpoints:
         rng = random.Random(23)
         for _ in range(50):
             p = random_distribution(rng, rng.randint(1, 64))
-            vals = midpoints(p).values
+            vals = midpoints(p)
             assert all(0 < v < 1 for v in vals)
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
