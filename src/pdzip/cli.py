@@ -9,6 +9,7 @@ container, zero probabilities without --epsilon, index out of range).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -92,6 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("info", help="describe a container file")
     p.add_argument("input")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves no state in the parser, so one serves every main call
+    return build_parser()
 
 
 # ----------------------------------------------------------------------
@@ -295,9 +302,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:

@@ -6,22 +6,44 @@ running excess E(j), and every structural question becomes an excess
 search: the subtree rooted at position v ends at the first j >= v where
 E(j) drops back below the excess at v's entry.
 
-Searches run over three levels: a 16-bit-word lookup table giving each
-word's excess delta and prefix min/max, per-block summaries (block size
-about log^2 of the sequence length), and a linear scan of the block
-directory.  Each navigation step costs O(log^2 n) bit inspections in the
-worst case while the auxiliary directories stay within o(n) bits.
+Every search the index makes is such a first drop: it asks for the
+nearest position, forward or backward from a start, whose excess is one
+below the excess at the start.  The excess moves by one per position, so
+that is also the nearest position where the excess reaches the target or
+less, and a stretch of the sequence holds the answer exactly when its
+minimum reaches the target.  The directories therefore keep minima only;
+the maxima of a range min-max tree would never be read.
+
+Searches run over three levels:
+
+* inside a 16-bit word, tables of each word's excess delta and prefix
+  minimum say whether the word holds the answer, and a per-byte table of
+  the first offset where the excess has fallen by d finds it;
+* per block of B symbols (B about log^2 of the sequence length, a
+  multiple of 16), the block's entry excess and minimum;
+* a range-min tree of arity 8 over the block minima (Navarro and
+  Sadakane, "Fully Functional Static and Dynamic Succinct Trees", ACM
+  TALG 2014, without the maxima): a search climbs from its start block to
+  the first node beside its path whose minimum reaches the target and goes
+  back down, reading O(log n) nodes.
+
+A search thus reads the words of at most two blocks and O(log n) tree
+nodes.  The final word is padded with 1 bits: they only raise the excess
+after the last real position, so they never make a first drop and the
+final word needs no special case.
 
 The aux-bit accounting in aux_bits() reports the packed widths the
-directories need (per-block values are bounded by the block size, so
-their fields are narrow; absolute counters appear once per superblock).
-The runtime representation trades that compactness for plain integer
-lists, which is a caching choice, not a change to what must be stored.
+directories need (per-block and per-node values are bounded by the span
+they cover, so their fields are narrow; absolute counters appear once per
+superblock).  The runtime representation trades that compactness for
+plain integer lists, which is a caching choice, not a change to what must
+be stored.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 
 from .bits import Bits
@@ -35,42 +57,58 @@ class NavigationError(ValueError):
     """An operation was asked of a node that cannot answer it."""
 
 
-# per-byte excess walk: (delta, prefix min, prefix max)
-def _byte_stats() -> tuple[tuple[int, int, int], ...]:
-    out = []
-    for byte in range(256):
-        e = 0
-        mn = 17
-        mx = -17
-        for i in range(8):
-            e += 1 if (byte >> (7 - i)) & 1 else -1
-            mn = min(mn, e)
-            mx = max(mx, e)
-        out.append((e, mn, mx))
-    return tuple(out)
+_ARITY = 8  # children per range-min tree node
 
 
-_BYTE = _byte_stats()
+def _byte_walk(byte: int) -> list[int]:
+    """Excess after each of the byte's 8 steps, most significant bit first."""
+    walk = []
+    e = 0
+    for i in range(7, -1, -1):
+        e += 1 if (byte >> i) & 1 else -1
+        walk.append(e)
+    return walk
+
+
+_WALKS = [_byte_walk(byte) for byte in range(256)]
+_BYTE_DELTA = [walk[7] for walk in _WALKS]
+_BYTE_MIN = [min(walk) for walk in _WALKS]
+# _FIRST_DROP[need << 8 | byte]: offset of the first step after which the
+# byte's excess is -need, or 8 if there is none (need up to 16, a word's)
+_FIRST_DROP = [walk.index(-need) if -need in walk else 8
+               for need in range(17) for walk in _WALKS]
+# a byte's bits reversed and complemented: walking it forward retraces the
+# original byte's excess backward
+_BYTE_BACK = [int(format(byte ^ 0xFF, "08b")[::-1], 2) for byte in range(256)]
+del _WALKS
+
 _WORD_DELTA: list[int] = []
 _WORD_MIN: list[int] = []
-_WORD_MAX: list[int] = []
 
 
 def _ensure_word_tables() -> None:
     if _WORD_DELTA:
         return
-    delta = [0] * 65536
-    wmin = [0] * 65536
-    wmax = [0] * 65536
-    for w in range(65536):
-        dh, mnh, mxh = _BYTE[w >> 8]
-        dl, mnl, mxl = _BYTE[w & 0xFF]
-        delta[w] = dh + dl
-        wmin[w] = min(mnh, dh + mnl)
-        wmax[w] = max(mxh, dh + mxl)
-    _WORD_DELTA.extend(delta)
-    _WORD_MIN.extend(wmin)
-    _WORD_MAX.extend(wmax)
+    _WORD_DELTA.extend([dh + dl for dh in _BYTE_DELTA for dl in _BYTE_DELTA])
+    _WORD_MIN.extend([mh if mh < dh + ml else dh + ml
+                      for dh, mh in zip(_BYTE_DELTA, _BYTE_MIN)
+                      for ml in _BYTE_MIN])
+
+
+def _first_drop(word: int, need: int) -> int:
+    """Offset of the first step after which the word's excess is -need.
+
+    The caller has checked that _WORD_MIN[word] <= -need.
+    """
+    hi = word >> 8
+    k = _FIRST_DROP[need << 8 | hi]
+    if k < 8:
+        return k
+    return 8 + _FIRST_DROP[(need + _BYTE_DELTA[hi]) << 8 | (word & 0xFF)]
+
+
+def _backward(word: int) -> int:
+    return _BYTE_BACK[word & 0xFF] << 8 | _BYTE_BACK[word >> 8]
 
 
 def _ceil_log2(x: int) -> int:
@@ -86,9 +124,8 @@ class SuccinctTreeIndex:
     1..n in left-to-right (= preorder) order.
     """
 
-    __slots__ = ("_n", "_m", "_B", "_G", "_nw", "_nb", "_words",
-                 "_last_stats", "_blk_entry", "_blk_min", "_blk_max",
-                 "_ones_before")
+    __slots__ = ("_n", "_m", "_B", "_G", "_nb", "_words", "_blk_entry",
+                 "_levels")
 
     def __init__(self, shape_bits: Bits, n: int):
         # shape_bits carries all 2n-1 preorder leaf flags
@@ -100,36 +137,40 @@ class SuccinctTreeIndex:
         self._m = m
         lg = math.log2(2 * n)
         raw = max(16, math.ceil(lg * lg))
-        self._B = -(-raw // 16) * 16
+        B = self._B = -(-raw // 16) * 16
         self._G = max(1, math.ceil(lg))
         nw = (m + 15) // 16
-        self._nw = nw
         pad = 16 * nw - m
-        packed = shape_bits.as_int() << pad
-        data = packed.to_bytes(2 * nw, "big")
-        self._words = [int.from_bytes(data[2 * k:2 * k + 2], "big")
-                       for k in range(nw)]
-        # the final word may cover fewer than 16 real symbols; its stats
-        # must ignore the zero padding
-        tail = m - 16 * (nw - 1)
-        if tail == 16:
-            w = self._words[-1]
-            self._last_stats = (_WORD_DELTA[w], _WORD_MIN[w], _WORD_MAX[w])
-        else:
-            e = 0
-            mn = tail + 1
-            mx = -(tail + 1)
-            w = self._words[-1]
-            for i in range(tail):
-                e += 1 if (w >> (15 - i)) & 1 else -1
-                mn = min(mn, e)
-                mx = max(mx, e)
-            self._last_stats = (e, mn, mx)
-        self._build_blocks()
+        packed = (shape_bits.as_int() << pad) | ((1 << pad) - 1)
+        words = self._words = struct.unpack(f">{nw}H",
+                                            packed.to_bytes(2 * nw, "big"))
+        # per block: entry excess and minimum excess, both absolute
+        wpb = B >> 4
+        entry = [0]
+        bmin = []
+        cur = 0
+        for first in range(0, nw, wpb):
+            low = cur + 1
+            for word in words[first:first + wpb]:
+                if cur + _WORD_MIN[word] < low:
+                    low = cur + _WORD_MIN[word]
+                cur += _WORD_DELTA[word]
+            bmin.append(low)
+            entry.append(cur)
+        self._nb = len(bmin)
+        self._blk_entry = entry
+        # levels[0] holds the block minima, each further level the minima
+        # of _ARITY consecutive nodes below; the root is never read, so
+        # the top stored level is the first with at most _ARITY nodes
+        levels = [bmin]
+        while len(levels[-1]) > _ARITY:
+            below = levels[-1]
+            levels.append([min(below[i:i + _ARITY])
+                           for i in range(0, len(below), _ARITY)])
+        self._levels = levels
         # preorder flags of a strict tree first reach excess -1 at their
-        # last position; the block directory answers that in one search
-        if (self._blk_entry[self._nb] != -1
-                or self._fwdsearch(0, -1, entry_excess=0) != m - 1):
+        # last position
+        if self._fwdsearch(0, 0) != m - 1:
             raise MalformedPayloadError(
                 "shape bits do not describe a strict tree")
 
@@ -149,160 +190,150 @@ class SuccinctTreeIndex:
     # ------------------------------------------------------------------
     # internal machinery
 
-    def _build_blocks(self) -> None:
-        m, B, nw = self._m, self._B, self._nw
-        nb = (m + B - 1) // B
-        self._nb = nb
-        words = self._words
-        wpb = B // 16
-        entry = [0] * (nb + 1)
-        bmin = [0] * nb
-        bmax = [0] * nb
-        ones_before = [0] * (nb + 1)
-        cur = 0
-        ones = 0
-        for b in range(nb):
-            entry[b] = cur
-            ones_before[b] = ones
-            mn = m + 2
-            mx = -(m + 2)
-            for w in range(b * wpb, min((b + 1) * wpb, nw)):
-                d, wmn, wmx = self._word_stats(w)
-                mn = min(mn, cur + wmn)
-                mx = max(mx, cur + wmx)
-                cur += d
-                ones += words[w].bit_count()
-            bmin[b] = mn
-            bmax[b] = mx
-        entry[nb] = cur
-        ones_before[nb] = ones
-        self._blk_entry = entry
-        self._blk_min = bmin
-        self._blk_max = bmax
-        self._ones_before = ones_before
-
-    def _word_stats(self, w: int) -> tuple[int, int, int]:
-        if w == self._nw - 1:
-            return self._last_stats
-        word = self._words[w]
-        return _WORD_DELTA[word], _WORD_MIN[word], _WORD_MAX[word]
-
     def _bit(self, j: int) -> int:
         return (self._words[j >> 4] >> (15 - (j & 15))) & 1
 
-    def _rank1(self, k: int) -> int:
-        """Number of 1 flags among positions [0, k)."""
-        B = self._B
-        b = k // B
-        if b >= self._nb:
-            return self._ones_before[self._nb]
-        ones = self._ones_before[b]
+    def _excess(self, pos: int) -> int:
+        """E(pos) = (+1 per internal, -1 per leaf) over positions 0..pos."""
+        k = pos + 1
+        b = k // self._B
+        cur = self._blk_entry[b]
         words = self._words
-        w = (b * B) >> 4
+        w = b * (self._B >> 4)
         stop = k >> 4
         while w < stop:
-            ones += words[w].bit_count()
+            cur += _WORD_DELTA[words[w]]
             w += 1
         rem = k & 15
         if rem:
-            ones += (words[w] >> (16 - rem)).bit_count()
-        return ones
+            cur += 2 * (words[w] >> (16 - rem)).bit_count() - rem
+        return cur
 
-    def _excess(self, pos: int) -> int:
-        """E(pos) = (+1 per internal, -1 per leaf) over positions 0..pos."""
-        if pos < 0:
-            return 0
-        return 2 * self._rank1(pos + 1) - (pos + 1)
+    def _next_block(self, b: int, target: int) -> int:
+        """First block after b whose minimum is at most target, or -1."""
+        levels = self._levels
+        h = 0
+        while True:
+            level = levels[h]
+            stop = min((b // _ARITY + 1) * _ARITY, len(level))
+            b += 1
+            while b < stop and level[b] > target:
+                b += 1
+            if b < stop:
+                break
+            h += 1
+            if h == len(levels):
+                return -1
+            b = (b - 1) // _ARITY
+        while h:
+            h -= 1
+            level = levels[h]
+            b *= _ARITY
+            while level[b] > target:
+                b += 1
+        return b
 
-    def _bitwise_fwd(self, j: int, stop: int, cur: int, target: int) -> int:
+    def _prev_block(self, b: int, target: int) -> int:
+        """Last block before b whose minimum is at most target, or -1."""
+        levels = self._levels
+        h = 0
+        while True:
+            level = levels[h]
+            stop = b - b % _ARITY
+            b -= 1
+            while b >= stop and level[b] > target:
+                b -= 1
+            if b >= stop:
+                break
+            h += 1
+            if h == len(levels):
+                return -1
+            b = stop // _ARITY
+        # a node left of the start's ancestor has all _ARITY children
+        while h:
+            h -= 1
+            level = levels[h]
+            b = b * _ARITY + _ARITY - 1
+            while level[b] > target:
+                b -= 1
+        return b
+
+    def _fwdsearch(self, start: int, entry: int) -> int:
+        """Smallest j >= start with E(j) = entry - 1, or -1 if none.
+
+        entry is E(start - 1).
+        """
         words = self._words
-        while j < stop:
-            cur += 1 if (words[j >> 4] >> (15 - (j & 15))) & 1 else -1
-            if cur == target:
-                return j
-            j += 1
-        return -1
-
-    def _fwdsearch(self, start: int, target: int, entry_excess=None) -> int:
-        """Smallest j >= start with E(j) == target."""
-        m, B = self._m, self._B
-        if start >= m:
-            raise NavigationError("excess search beyond the sequence")
-        cur = self._excess(start - 1) if entry_excess is None else entry_excess
-        wend = min((start >> 4) * 16 + 16, m)
-        hit = self._bitwise_fwd(start, wend, cur, target)
-        if hit >= 0:
-            return hit
-        cur += self._delta_range(start, wend)
-        j = wend
-        # whole words to the end of the current block
-        blk = start // B
-        bend = min((blk + 1) * B, m)
-        while j < bend:
-            d, mn, mx = self._word_stats(j >> 4)
-            if cur + mn <= target <= cur + mx:
-                return self._bitwise_fwd(j, min(j + 16, m), cur, target)
-            cur += d
-            j += 16
-        # block directory
-        for b in range(blk + 1, self._nb):
-            if self._blk_min[b] <= target <= self._blk_max[b]:
-                cur = self._blk_entry[b]
-                j = b * B
-                stop = min((b + 1) * B, m)
-                while j < stop:
-                    d, mn, mx = self._word_stats(j >> 4)
-                    if cur + mn <= target <= cur + mx:
-                        return self._bitwise_fwd(j, min(j + 16, m), cur, target)
-                    cur += d
-                    j += 16
-        raise NavigationError("no position with the requested excess")
-
-    def _delta_range(self, a: int, b: int) -> int:
-        """Excess change contributed by positions [a, b), same word only."""
-        d = 0
-        words = self._words
-        while a < b:
-            d += 1 if (words[a >> 4] >> (15 - (a & 15))) & 1 else -1
-            a += 1
-        return d
-
-    def _bwdsearch(self, start: int, target: int) -> int:
-        """Largest j <= start with E(j) == target; -1 when E(-1) = 0 is it."""
-        B = self._B
-        words = self._words
-        cur = self._excess(start)
-        j = start
-        wstart = (j >> 4) * 16
-        while j >= wstart:
-            if cur == target:
-                return j
-            cur -= 1 if (words[j >> 4] >> (15 - (j & 15))) & 1 else -1
-            j -= 1
-        # j sits on a word boundary minus one; skip words and blocks
-        while j >= 0:
-            bb = j // B
-            if j == (bb + 1) * B - 1 and not (
-                    self._blk_min[bb] <= target <= self._blk_max[bb]):
-                j = bb * B - 1
-                cur = self._blk_entry[bb]
-                continue
-            w = j >> 4
-            d, mn, mx = self._word_stats(w)
-            base = cur - d
-            if base + mn <= target <= base + mx:
-                a = w << 4
-                while j >= a:
-                    if cur == target:
-                        return j
-                    cur -= 1 if (words[w] >> (15 - (j & 15))) & 1 else -1
-                    j -= 1
-                raise AssertionError("word summary promised a hit")
-            cur = base
-            j = (w << 4) - 1
-        if target == 0:
+        target = entry - 1
+        w = start >> 4
+        # the word's steps from start on, topped up with rising 1 steps
+        rem = start & 15
+        word = ((words[w] << rem) & 0xFFFF) | ((1 << rem) - 1)
+        if _WORD_MIN[word] < 0:
+            return start + _first_drop(word, 1)
+        wpb = self._B >> 4
+        blk = w // wpb
+        if self._levels[0][blk] <= target:
+            cur = entry + _WORD_DELTA[word] - rem
+            stop = min((blk + 1) * wpb, len(words))
+            w += 1
+            while w < stop:
+                word = words[w]
+                if cur + _WORD_MIN[word] <= target:
+                    return (w << 4) + _first_drop(word, cur - target)
+                cur += _WORD_DELTA[word]
+                w += 1
+        blk = self._next_block(blk, target)
+        if blk < 0:
             return -1
-        raise NavigationError("no position with the requested excess")
+        cur = self._blk_entry[blk]
+        w = blk * wpb
+        while True:
+            word = words[w]
+            if cur + _WORD_MIN[word] <= target:
+                return (w << 4) + _first_drop(word, cur - target)
+            cur += _WORD_DELTA[word]
+            w += 1
+
+    def _bwdsearch(self, start: int, excess: int) -> int:
+        """Largest j < start with E(j) = excess - 1; -1 when E(-1) = 0 is it.
+
+        excess is E(start).  Words are walked backward through their
+        reversed complement, whose excess after k steps is
+        E(end - k) - E(end) for the word's last position end.
+        """
+        words = self._words
+        target = excess - 1
+        w = start >> 4
+        # steps from start back to the word's first bit, then rising 1s
+        rem = 15 - (start & 15)
+        back = ((_backward(words[w]) << rem) & 0xFFFF) | ((1 << rem) - 1)
+        if _WORD_MIN[back] < 0:
+            return start - 1 - _first_drop(back, 1)
+        wpb = self._B >> 4
+        blk = w // wpb
+        if self._levels[0][blk] <= target:
+            cur = excess + _WORD_DELTA[back] - rem
+            stop = blk * wpb
+            while w > stop:
+                w -= 1
+                back = _backward(words[w])
+                if cur + _WORD_MIN[back] <= target:
+                    return (w << 4) + 14 - _first_drop(back, cur - target)
+                cur += _WORD_DELTA[back]
+        blk = self._prev_block(blk, target)
+        if blk < 0:
+            return -1
+        cur = self._blk_entry[blk + 1]
+        w = (blk + 1) * wpb
+        if cur == target:
+            return (w << 4) - 1
+        while True:
+            w -= 1
+            back = _backward(words[w])
+            if cur + _WORD_MIN[back] <= target:
+                return (w << 4) + 14 - _first_drop(back, cur - target)
+            cur += _WORD_DELTA[back]
 
     def _check_handle(self, v: int) -> None:
         if not 0 <= v < self._m:
@@ -333,10 +364,8 @@ class SuccinctTreeIndex:
         self._check_handle(v)
         if self._bit(v) == 0:
             raise NavigationError("a leaf has no children")
-        ev = self._excess(v)
         # the left child's subtree ends where excess returns to E(v) - 1
-        end_left = self._fwdsearch(v + 1, ev - 1, entry_excess=ev)
-        return end_left + 1
+        return self._fwdsearch(v + 1, self._excess(v)) + 1
 
     def parent(self, v: int) -> int:
         self._check_handle(v)
@@ -344,19 +373,16 @@ class SuccinctTreeIndex:
             raise NavigationError("the root has no parent")
         if self._bit(v - 1) == 1:
             return v - 1
-        # v is a right child: its entry excess equals the excess just
-        # before its parent, and no position in between repeats it
-        target = self._excess(v - 1)
-        return self._bwdsearch(v - 2, target) + 1
+        # v is a right child: its entry excess E(v - 1) equals the excess
+        # just before its parent, and every position in between is higher
+        return self._bwdsearch(v - 2, self._excess(v - 2)) + 1
 
     def num_descendants(self, v: int) -> int:
         """Size of v's subtree in nodes, v included."""
         self._check_handle(v)
         if self._bit(v) == 0:
             return 1
-        entry = self._excess(v - 1)
-        end = self._fwdsearch(v, entry - 1, entry_excess=entry)
-        return end - v + 1
+        return self._fwdsearch(v, self._excess(v - 1)) - v + 1
 
     # ------------------------------------------------------------------
     # leaf queries
@@ -377,7 +403,7 @@ class SuccinctTreeIndex:
             if self._bit(lc) == 0:
                 end_left = lc
             else:
-                end_left = self._fwdsearch(lc, eb, entry_excess=eb + 1)
+                end_left = self._fwdsearch(lc, eb + 1)
             leaves_left = (end_left - v + 1) // 2
             if i <= leaves_left:
                 v = lc
@@ -402,16 +428,21 @@ class SuccinctTreeIndex:
     def aux_bits(self) -> int:
         """Bits the directories need in packed form.
 
-        Per block: prefix-excess min and max relative to the block entry
-        (each in [-B, B]) and the block's ones count (in [0, B]).  Per
-        superblock of G blocks: one absolute ones counter, from which
+        Per block: the minimum excess relative to the block entry (in
+        [-B, 1]) and the block's ones count (in [0, B]).  Per stored
+        range-min node: its minimum relative to the entry of the s
+        symbols it spans (in [-s, 1]), s = min(B * arity^level, 2n - 1).
+        Per superblock of G blocks: one absolute ones counter, from which
         every block's absolute entry excess and rank follow.
         """
-        nb = self._nb
+        B, m, nb = self._B, self._m, self._nb
+        bits = nb * (_ceil_log2(B + 2) + _ceil_log2(B + 1))
+        span = B
+        for level in self._levels[1:]:
+            span *= _ARITY
+            bits += len(level) * _ceil_log2(min(span, m) + 2)
         nsb = (nb + self._G - 1) // self._G
-        per_block = 2 * _ceil_log2(2 * self._B + 1) + _ceil_log2(self._B + 1)
-        per_super = _ceil_log2(self._m + 1)
-        return nb * per_block + nsb * per_super
+        return bits + nsb * _ceil_log2(m + 1)
 
     def total_bits(self) -> int:
         """Shape bits plus directory bits."""

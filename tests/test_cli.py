@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from pdzip import cli
 from pdzip import container as cont
 from pdzip.bits import Bits
 from pdzip.cli import (
@@ -332,3 +333,31 @@ class TestEntryPoint:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+    def test_one_parser_per_process(self, tmp_path, capsys, monkeypatch):
+        # a usage error, a valid call and --help through one parser give
+        # the output and exit codes of a fresh parser per call
+        src = write_dist(tmp_path / "p.txt", [3, 1])
+        box = str(tmp_path / "p.pdz")
+        run(capsys, "compress", "--method", "tree", src, box)
+        calls = (("query", "--index", "x", box),
+                 ("query", "--index", "2", box),
+                 ("--help",))
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        shared = [run(capsys, *argv) for argv in calls]
+        assert len(built) == 1
+        monkeypatch.setattr(cli, "_parser", counting_build)
+        fresh = [run(capsys, *argv) for argv in calls]
+        assert len(built) == 4
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [1, 0, 0]
+        assert shared[1][1] == "0.5\n"
+        assert "usage: pdzip" in shared[0][2] and "usage: pdzip" in shared[2][1]

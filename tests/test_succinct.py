@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from pdzip.core import (
     max_ratio,
     relative_entropy,
 )
+from pdzip import succinct
 from pdzip.succinct import (
     NavigationError,
     SuccinctTreeIndex,
@@ -28,6 +30,53 @@ def dist(*weights):
 
 def index_for(depths):
     return SuccinctTreeIndex.from_tree_shape(StrictTreeShape(depths))
+
+
+def assert_same_verdict(payload):
+    """The index accepts the payload iff decode_tree does, with its depths."""
+    try:
+        depths = decode_tree(payload).leaf_depths
+    except MalformedPayloadError:
+        with pytest.raises(MalformedPayloadError):
+            SuccinctTreeIndex.from_payload(payload)
+        return
+    idx = SuccinctTreeIndex.from_payload(payload)
+    assert tuple(idx.leaf_depth(i) for i in range(1, payload.n + 1)) == depths
+
+
+def block_size(n):
+    # the index's block size, restated so that the cases below can be put
+    # on block boundaries; the boundary test checks it against the index
+    lg = math.log2(2 * n)
+    return -(-max(16, math.ceil(lg * lg)) // 16) * 16
+
+
+def boundary_cases():
+    rng = random.Random(223)
+    cases = []
+    # every residue of m = 2n - 1 mod 16 (m is odd, so eight of them),
+    # inside one word and in the fourth block of a four-block index
+    for n in list(range(1, 9)) + list(range(129, 137)):
+        cases.append((f"residue-n{n}", random_tree_depths(rng, n)))
+    # m one short of and one past k blocks; m is odd and B a multiple of
+    # 16, so m is never k*B itself; with k = 10 the block minima get a
+    # second range-min level
+    for k in (1, 2, 3, 10):
+        for off in (-1, 1):
+            n = next(n for n in range(2, 1000)
+                     if 2 * n - 1 == k * block_size(n) + off)
+            cases.append((f"m=kB{off:+d}-k{k}", random_tree_depths(rng, n)))
+    cases.append(("single-block-two-words", random_tree_depths(rng, 16)))
+    # depth n - 1 both ways, m = 10B + 1: the last block holds one symbol
+    n = 561
+    cases.append(("caterpillar-right", tuple(range(1, n)) + (n - 1,)))
+    cases.append(("caterpillar-left", (n - 1,) + tuple(range(n - 1, 0, -1))))
+    # 97 blocks, three range-min levels: the searches for the root's
+    # subtree end (in the last block) and for the parent of its right
+    # child (the position before the first block) climb to the top level
+    cases.append(("three-levels", random_tree_depths(rng, 10000,
+                                                     balanced=True)))
+    return cases
 
 
 class TestNavigationExamples:
@@ -177,15 +226,35 @@ class TestConstruction:
                 value ^= 1 << rng.randrange(2 * n - 2)
             payloads.append(TreePayload(Bits.from_int(value, 2 * n - 2), n))
         for payload in payloads:
-            try:
-                depths = decode_tree(payload).leaf_depths
-            except MalformedPayloadError:
-                with pytest.raises(MalformedPayloadError):
-                    SuccinctTreeIndex.from_payload(payload)
-                continue
-            idx = SuccinctTreeIndex.from_payload(payload)
-            assert tuple(idx.leaf_depth(i)
-                         for i in range(1, payload.n + 1)) == depths
+            assert_same_verdict(payload)
+
+
+@pytest.mark.parametrize("depths", [pytest.param(depths, id=name)
+                                    for name, depths in boundary_cases()])
+def test_boundaries_match_linked_tree(depths):
+    n = len(depths)
+    payload = encode_tree(StrictTreeShape(depths))
+    idx = SuccinctTreeIndex.from_payload(payload)
+    assert idx._B == block_size(n)
+    oracle = LinkedTree(payload.bits + Bits.from_string("0"))
+    for i in range(1, n + 1):
+        assert idx.leaf_descent(i) == (oracle.leaf_position(i),
+                                       oracle.leaf_depth(i))
+    for v in range(2 * n - 1):
+        assert idx.num_descendants(v) == oracle.num_descendants(v)
+        if v > 0:
+            assert idx.parent(v) == oracle.parent(v)
+        if not oracle.is_leaf(v):
+            assert idx.right_child(v) == oracle.right_child(v)
+    # flipped flags next to the padding and the block edges
+    value = payload.bits.as_int()
+    stored = 2 * n - 2
+    for flips in ((0,), (1,), (0, 1), (0, stored // 2)):
+        if max(flips) < stored:
+            bad = value
+            for f in flips:
+                bad ^= 1 << f
+            assert_same_verdict(TreePayload(Bits.from_int(bad, stored), n))
 
 
 class TestSmoothing:
@@ -324,3 +393,55 @@ class TestSpaceAccounting:
             if prev is not None:
                 assert frac <= prev
             prev = frac
+
+    def test_aux_bits_are_the_packed_widths(self):
+        # recomputed from B, the block count nb, the superblock size G and
+        # the arity: per block a minimum in [-B, 1] and a ones count in
+        # [0, B]; per stored range-min node a minimum in [-s, 1] over its
+        # span of s symbols; per superblock one absolute ones counter.  It
+        # may not exceed the directory that also kept each block's maximum
+        # (both extremes in [-B, B]).
+        def width(values):
+            return (values - 1).bit_length()
+
+        for exp in range(10, 21):
+            n = 1 << exp
+            m = 2 * n - 1
+            caterpillar = Bits.from_int(int("10" * (n - 1) + "0", 2), m)
+            idx = SuccinctTreeIndex(caterpillar, n)
+            B, nb, G = idx._B, idx._nb, idx._G
+            assert nb == -(-m // B)
+            supers = -(-nb // G) * width(m + 1)
+            nodes = 0
+            count, span = nb, B
+            while count > succinct._ARITY:
+                count = -(-count // succinct._ARITY)
+                span *= succinct._ARITY
+                nodes += count * width(min(span, m) + 2)
+            blocks = nb * (width(B + 2) + width(B + 1))
+            assert idx.aux_bits() == blocks + nodes + supers
+            with_maxima = nb * (2 * width(2 * B + 1) + width(B + 1)) + supers
+            assert idx.aux_bits() <= with_maxima
+
+
+class TestWordTables:
+    def test_match_bitwise_walk(self):
+        # every 16-bit word against a step-by-step walk: excess delta,
+        # prefix minimum, the first offset of each drop it reaches, and
+        # the reversed complement that walks it backward
+        succinct._ensure_word_tables()
+        for word in range(1 << 16):
+            e = 0
+            low = 17
+            drops = {}
+            for k in range(16):
+                e += 1 if (word >> (15 - k)) & 1 else -1
+                low = min(low, e)
+                if e < 0:
+                    drops.setdefault(-e, k)
+            assert succinct._WORD_DELTA[word] == e
+            assert succinct._WORD_MIN[word] == low
+            for need, k in drops.items():
+                assert succinct._first_drop(word, need) == k
+            back = int(format(word ^ 0xFFFF, "016b")[::-1], 2)
+            assert succinct._backward(word) == back
