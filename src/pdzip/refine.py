@@ -17,7 +17,6 @@ the ones this replay passes through.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bits import Bits, concat
 from .core import DistributionError, ProbabilityDistribution
@@ -78,25 +77,30 @@ def refine_step(dist: ProbabilityDistribution,
         raise ValueError("refinement levels start at k = 3")
     if dist.n != q_prev.n:
         raise DistributionError("distributions have different lengths")
-    pre_bound = 2 + Fraction(1, 2) ** (k - 4)
-    threshold = 1 + Fraction(1, 2) ** (k - 3)
+    # with p = w/W, q = u/U and s = 2^(k-3), the mark test p >= (1 + 1/s) q
+    # is w*U*s >= (s+1)*u*W and the precondition p < (2 + 2/s) q is
+    # w*U*s < 2*(s+1)*u*W
+    s = 1 << (k - 3)
+    p_scale = q_prev.total * s
+    q_scale = (s + 1) * dist.total
     marks = []
-    marked_mass = Fraction(0)
-    for p, q in zip(dist.entries, q_prev.entries):
-        if q <= 0:
+    weights = []
+    for w, u in zip(dist.weights, q_prev.weights):
+        if u <= 0:
             raise DistributionError("q_i must be strictly positive")
-        if p >= pre_bound * q:
+        lhs = w * p_scale
+        rhs = u * q_scale
+        if lhs >= 2 * rhs:
             raise DistributionError(
                 f"ratio precondition violated at level {k}")
-        if p >= threshold * q:
+        if lhs >= rhs:
             marks.append(1)
-            marked_mass += q
+            weights.append(2 * u)
         else:
             marks.append(0)
-    normalizer = 1 + marked_mass
-    new_q = tuple((2 * q if m else q) / normalizer
-                  for m, q in zip(marks, q_prev.entries))
-    return Bits.from_iterable(marks), ProbabilityDistribution(new_q)
+            weights.append(u)
+    return (Bits.from_iterable(marks),
+            ProbabilityDistribution._exact(weights, sum(weights)))
 
 
 def compress_refined(dist: ProbabilityDistribution, k: int) -> RefinePayload:
@@ -133,5 +137,4 @@ def refined_weights(payload: RefinePayload) -> tuple[list[int], int]:
 
 def decompress_refined(payload: RefinePayload) -> ProbabilityDistribution:
     """The stored distribution, from the payload alone: no access to P."""
-    weights, total = refined_weights(payload)
-    return ProbabilityDistribution(tuple(Fraction(w, total) for w in weights))
+    return ProbabilityDistribution._exact(*refined_weights(payload))

@@ -8,7 +8,8 @@ else, which keeps D(P||Q) within c*H(P) + log2(pi^2/3).
 
 The reconstructed weights are irrational, so this module alone hands out
 64-bit floats (to about 1e-12 relative accuracy); every other codec in
-the package stays in exact rationals.
+the package stays exact.  Selecting the heavy symbols is exact too: one
+integer threshold on the weights, found by an integer root.
 """
 
 from __future__ import annotations
@@ -250,23 +251,38 @@ def _light_value(n: int, t: int) -> float:
     return (1.0 - heavy_mass) / (n - t)
 
 
+def _ceil_root(r: int, e: int) -> int:
+    """Least integer t >= 0 with t**e >= r, for r >= 0 and e >= 1.
+
+    Newton's iteration in integers, started above the root from r's bit
+    length, falls strictly to floor(r^(1/e)) and stops there.
+    """
+    if r <= 1:
+        return r
+    x = 1 << -(-r.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + r // x ** (e - 1)) // e
+        if y >= x:
+            break
+        x = y
+    return x if x ** e == r else x + 1
+
+
 def select_heavy(dist: ProbabilityDistribution, c: Fraction) -> SparsePayload:
     """Indices with p_i >= n^{-1/(c+1)}, ordered heaviest first.
 
-    The threshold test runs in exact integer arithmetic: with c = cn/cd
-    and p = a/b, membership is a^{cn+cd} * n^{cd} >= b^{cn+cd}.  Ties in
+    With c = cn/cd, e = cn + cd and p_i = w_i/W, membership is
+    w_i^e * n^cd >= W^e.  The left side grows with w_i, so symbol i is
+    heavy exactly when w_i >= T, the least integer with
+    T^e >= ceil(W^e / n^cd); T is computed once, exactly.  Ties in
     probability rank the smaller index first.
     """
     c = _validate_c(c)
     n = dist.n
-    cn, cd = c.numerator, c.denominator
-    e = cn + cd
-    nf = n ** cd
-    heavy = []
-    for i, p in enumerate(dist.entries, start=1):
-        if p > 0 and p.numerator ** e * nf >= p.denominator ** e:
-            heavy.append((p, i))
-    heavy.sort(key=lambda pi: (-pi[0], pi[1]))
+    e = c.numerator + c.denominator
+    threshold = _ceil_root(-(-dist.total ** e // n ** c.denominator), e)
+    heavy = sorted((-w, i) for i, w in enumerate(dist.weights, start=1)
+                   if w >= threshold)
     return SparsePayload(n, c, tuple(i for _, i in heavy))
 
 

@@ -452,17 +452,20 @@ class SuccinctTreeIndex:
 def smooth(dist: ProbabilityDistribution, eps: Fraction) -> ProbabilityDistribution:
     """Mix with the uniform distribution at weight eps/4, exactly.
 
-    p_i' = p_i/(1 + eps/4) + (eps/4)/((1 + eps/4) n); every output entry
-    is at least (eps/4)/((1 + eps/4) n) > 0, and the sum stays exactly 1.
+    p_i' = p_i/(1 + eps/4) + (eps/4)/((1 + eps/4) n).  With eps = a/b and
+    p_i = w_i/W that is (4b n w_i + a W) / ((4b + a) n W); every output
+    entry is at least a/((4b + a) n) > 0, and the weights sum exactly to
+    the total.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    lam = eps / 4
+    a, b = eps.numerator, eps.denominator
     n = dist.n
-    floor_term = lam / ((1 + lam) * n)
-    return ProbabilityDistribution(
-        tuple(p / (1 + lam) + floor_term for p in dist.entries))
+    scale = 4 * b * n
+    floor = a * dist.total
+    return ProbabilityDistribution._exact(
+        [scale * w + floor for w in dist.weights], (4 * b + a) * n * dist.total)
 
 
 def build_smoothed(dist: ProbabilityDistribution,
@@ -481,15 +484,20 @@ def build_smoothed(dist: ProbabilityDistribution,
     would sum past 1) the code tree stays.
     """
     eps = Fraction(eps)
+    a, b = eps.numerator, eps.denominator
     n = dist.n
     tree = code_tree(smooth(dist, eps))
-    limit = 4 * n * eps.denominator
-    if any(eps.numerator << d >= limit for d in tree.leaf_depths):
-        uniform = eps / (4 * n)
+    uniform_den = 4 * b * n
+    if any(a << d >= uniform_den for d in tree.leaf_depths):
+        # p_i/(4 + eps) = b w_i / ((4b + a) W) and eps/(4n) = a / (4b n);
+        # the deepest d with 2^d * f < 1 is ceil(log2(1/f)) - 1
+        ratio_den = (4 * b + a) * dist.total
         caps = []
-        for p in dist.entries:
-            f = max(p / (4 + eps), uniform)
-            caps.append(ceil_log2_ratio(f.denominator, f.numerator) - 1)
+        for w in dist.weights:
+            if b * w * uniform_den > a * ratio_den:
+                caps.append(ceil_log2_ratio(ratio_den, b * w) - 1)
+            else:
+                caps.append(ceil_log2_ratio(uniform_den, a) - 1)
         capped = capped_tree(caps)
         if capped is not None:
             tree = capped

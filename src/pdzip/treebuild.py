@@ -5,24 +5,25 @@ binary expansion of S_i = p_i/2 + sum_{j<i} p_j.  Those codewords are
 prefix-free, and contracting every one-child node of their trie yields a
 strict binary tree whose leaf i sits at depth d_i with 2^{d_i} * p_i < 4.
 
-Codewords are held as (value, length) integer pairs so that a codeword of
-any length is one bigint, and the contraction works off longest-common-
-prefix lengths of consecutive codewords.  This keeps the whole pipeline at
-O(n) arithmetic operations instead of one operation per codeword bit,
-which matters for skewed inputs whose total codeword length is quadratic.
+Everything is exact integer arithmetic on the distribution's weights w_i
+over their sum W: S_i is (2 * prefix_i + w_i) / 2W, codeword i is L bits
+long for the least L with w_i * 2^L >= 2W, and its value is
+((2 * prefix_i + w_i) << L) // 2W.  Codewords are held as (value, length)
+integer pairs so that a codeword of any length is one bigint, and the
+contraction works off longest-common-prefix lengths of consecutive
+codewords.  This keeps the whole pipeline at O(n) arithmetic operations
+instead of one operation per codeword bit, which matters for skewed
+inputs whose total codeword length is quadratic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Sequence
 
-from .core import (
-    DistributionError,
-    ProbabilityDistribution,
-    ceil_log2_ratio,
-)
+from .core import DistributionError, ProbabilityDistribution
 from .treecode import StrictTreeShape
 
 
@@ -57,31 +58,35 @@ class Codeword:
         return self.to01()
 
 
-def midpoints(dist: ProbabilityDistribution) -> tuple[Fraction, ...]:
-    """S_i = p_i/2 + sum_{j<i} p_j for a strictly positive distribution.
+def midpoints(dist: ProbabilityDistribution) -> tuple[int, ...]:
+    """Numerators of the S_i = p_i/2 + sum_{j<i} p_j over 2 * dist.total.
 
-    Because the p_i are positive and sum to 1, the S_i increase strictly
-    within (0, 1).
+    For a strictly positive distribution with weights w_i these are
+    2 * (w_1 + ... + w_{i-1}) + w_i, increasing strictly within
+    (0, 2 * dist.total).
     """
-    vals = []
-    acc = Fraction(0)
-    for i, p in enumerate(dist.entries):
-        if p <= 0:
-            raise ZeroProbabilityError(f"entry {i + 1} is zero")
-        vals.append(acc + p / 2)
-        acc += p
-    return tuple(vals)
+    weights = dist.weights
+    if 0 in weights:
+        raise ZeroProbabilityError(f"entry {weights.index(0) + 1} is zero")
+    prefix = list(accumulate(weights, initial=0))
+    return tuple(map(add, prefix, prefix[1:]))
 
 
-def codeword(midpoint: Fraction, prob: Fraction) -> Codeword:
-    """The first ceil(log2(2/prob)) bits of midpoint's binary expansion."""
-    if not 0 < prob <= 1:
-        raise ValueError("probability must be in (0, 1]")
-    if not 0 <= midpoint < 1:
-        raise ValueError("midpoint must be in [0, 1)")
-    length = ceil_log2_ratio(2 * prob.denominator, prob.numerator)
-    value = (midpoint.numerator << length) // midpoint.denominator
-    return Codeword(value, length)
+def codeword(midpoint: int, weight: int, total: int) -> Codeword:
+    """The first L bits of S = midpoint / 2total, for p = weight / total.
+
+    L = ceil(log2(2/p)) is the least L with weight * 2^L >= 2 * total;
+    the bit lengths of the two sides leave only two candidates.
+    """
+    span = 2 * total
+    if not 0 < weight <= total:
+        raise ValueError("weight must be in (0, total]")
+    if not 0 <= midpoint < span:
+        raise ValueError("midpoint must be in [0, 2 * total)")
+    length = span.bit_length() - weight.bit_length()
+    if weight << length < span:
+        length += 1
+    return Codeword((midpoint << length) // span, length)
 
 
 def contract_to_strict(codewords: Sequence[Codeword]) -> StrictTreeShape:
@@ -140,10 +145,9 @@ def code_tree(dist: ProbabilityDistribution) -> StrictTreeShape:
     distribution maps straight to the one-leaf tree.
     """
     if dist.n == 1:
-        if dist.entries[0] <= 0:
-            raise ZeroProbabilityError("entry 1 is zero")
         return StrictTreeShape((0,))
-    words = [codeword(s, p) for s, p in zip(midpoints(dist), dist.entries)]
+    total = dist.total
+    words = [codeword(s, w, total) for s, w in zip(midpoints(dist), dist.weights)]
     return contract_to_strict(words)
 
 

@@ -96,7 +96,10 @@ class DyadicDistribution:
         return tuple(Fraction(1, 1 << d) for d in self.depth_exponents)
 
     def to_distribution(self) -> ProbabilityDistribution:
-        return ProbabilityDistribution(self.probabilities())
+        """Weights 2^(top - d_i) over 2^top, top the deepest leaf's depth."""
+        top = max(self.depth_exponents)
+        return ProbabilityDistribution._exact(
+            [1 << (top - d) for d in self.depth_exponents], 1 << top)
 
 
 def encode_tree(shape: StrictTreeShape) -> TreePayload:

@@ -6,6 +6,12 @@ doubling of exact fractions, tries hold one node per bit, contraction
 is a recursive rewrite, navigation reads explicit parent/child arrays,
 and the information measures are direct floating-point sums.  Clarity
 over speed; intended for small inputs in the test suite only.
+
+The last section is the exception: it keeps the Fraction formulas that
+the package's integer-weight construction replaced (midpoints and
+codewords, the refine thresholds, the heavy-symbol test and smoothing)
+and feeds them to the package's unchanged contraction, codecs and
+container, so a test can require byte-identical containers.
 """
 
 from __future__ import annotations
@@ -14,7 +20,12 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from pdzip.core import ProbabilityDistribution
+from pdzip.bits import Bits
+from pdzip.core import DistributionError, ProbabilityDistribution, ceil_log2_ratio
+from pdzip.refine import RefinePayload
+from pdzip.sparse import SparsePayload
+from pdzip.treebuild import Codeword, capped_tree, contract_to_strict
+from pdzip.treecode import StrictTreeShape, encode_tree, implied_distribution
 
 
 # ----------------------------------------------------------------------
@@ -222,3 +233,95 @@ def naive_divergence(ps: Sequence, qs: Sequence) -> float:
         if p > 0.0:
             total += p * math.log2(p / float(q))
     return total
+
+
+# ----------------------------------------------------------------------
+# the Fraction formulas of the construction, before integer weights
+
+def fraction_midpoints(dist: ProbabilityDistribution) -> tuple[Fraction, ...]:
+    """S_i = p_i/2 + sum_{j<i} p_j, added up in Fractions."""
+    vals = []
+    acc = Fraction(0)
+    for p in dist.entries:
+        if p <= 0:
+            raise ValueError("zero probability has no codeword")
+        vals.append(acc + p / 2)
+        acc += p
+    return tuple(vals)
+
+
+def fraction_codeword(midpoint: Fraction, prob: Fraction) -> Codeword:
+    """The first ceil(log2(2/prob)) bits of midpoint's binary expansion."""
+    length = ceil_log2_ratio(2 * prob.denominator, prob.numerator)
+    value = (midpoint.numerator << length) // midpoint.denominator
+    return Codeword(value, length)
+
+
+def fraction_code_tree(dist: ProbabilityDistribution) -> StrictTreeShape:
+    if dist.n == 1:
+        return StrictTreeShape((0,))
+    return contract_to_strict([fraction_codeword(s, p) for s, p in
+                               zip(fraction_midpoints(dist), dist.entries)])
+
+
+def fraction_refine_step(dist: ProbabilityDistribution,
+                         q_prev: ProbabilityDistribution, k: int):
+    """Mark p_i >= (1 + 2^(3-k)) q_i, double the marked q_i, renormalize."""
+    pre_bound = 2 + Fraction(1, 2) ** (k - 4)
+    threshold = 1 + Fraction(1, 2) ** (k - 3)
+    marks = []
+    marked_mass = Fraction(0)
+    for p, q in zip(dist.entries, q_prev.entries):
+        if p >= pre_bound * q:
+            raise DistributionError(f"ratio precondition violated at level {k}")
+        marks.append(1 if p >= threshold * q else 0)
+        if marks[-1]:
+            marked_mass += q
+    normalizer = 1 + marked_mass
+    new_q = tuple((2 * q if m else q) / normalizer
+                  for m, q in zip(marks, q_prev.entries))
+    return Bits.from_iterable(marks), ProbabilityDistribution(new_q)
+
+
+def fraction_compress_refined(dist: ProbabilityDistribution, k: int) -> RefinePayload:
+    shape = fraction_code_tree(dist)
+    q = ProbabilityDistribution(implied_distribution(shape).probabilities())
+    levels = []
+    for level in range(3, k + 1):
+        bits, q = fraction_refine_step(dist, q, level)
+        levels.append(bits)
+    return RefinePayload(k, encode_tree(shape), tuple(levels))
+
+
+def fraction_select_heavy(dist: ProbabilityDistribution, c: Fraction) -> SparsePayload:
+    """p_i = a/b is heavy when a^(cn+cd) * n^cd >= b^(cn+cd), per symbol."""
+    n = dist.n
+    e = c.numerator + c.denominator
+    nf = n ** c.denominator
+    heavy = [(p, i) for i, p in enumerate(dist.entries, start=1)
+             if p > 0 and p.numerator ** e * nf >= p.denominator ** e]
+    heavy.sort(key=lambda pi: (-pi[0], pi[1]))
+    return SparsePayload(n, c, tuple(i for _, i in heavy))
+
+
+def fraction_smooth(dist: ProbabilityDistribution, eps: Fraction) -> ProbabilityDistribution:
+    """p_i/(1 + eps/4) + (eps/4)/((1 + eps/4) n), in Fractions."""
+    lam = eps / 4
+    floor_term = lam / ((1 + lam) * dist.n)
+    return ProbabilityDistribution(
+        tuple(p / (1 + lam) + floor_term for p in dist.entries))
+
+
+def fraction_smoothed_tree(dist: ProbabilityDistribution, eps: Fraction) -> StrictTreeShape:
+    """The tree build_smoothed indexes, with its caps taken in Fractions."""
+    n = dist.n
+    tree = fraction_code_tree(fraction_smooth(dist, eps))
+    if any(Fraction(1, 1 << d) <= eps / (4 * n) for d in tree.leaf_depths):
+        caps = []
+        for p in dist.entries:
+            f = max(p / (4 + eps), eps / (4 * n))
+            caps.append(ceil_log2_ratio(f.denominator, f.numerator) - 1)
+        capped = capped_tree(caps)
+        if capped is not None:
+            tree = capped
+    return tree

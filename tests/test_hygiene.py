@@ -8,6 +8,9 @@ scanned.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,26 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(pdzip, name) is not None
+
+
+def test_reimport_frees_the_old_modules():
+    # nothing built at import time may keep a module alive after it is
+    # re-imported; a typing.Union alias did, through typing's cache
+    script = (
+        "import gc, importlib, pkgutil, sys\n"
+        "import pdzip\n"
+        "names = [m.name for m in pkgutil.iter_modules(pdzip.__path__, 'pdzip.')]\n"
+        "del pdzip\n"
+        "for _ in range(3):\n"
+        "    for name in [m for m in sys.modules if m.startswith('pdzip')]:\n"
+        "        del sys.modules[name]\n"
+        "    for name in names:\n"
+        "        importlib.import_module(name)\n"
+        "gc.collect()\n"
+        "print(sum(isinstance(o, type) and o.__module__.startswith('pdzip')\n"
+        "          and o.__name__ == 'ProbabilityDistribution'\n"
+        "          for o in gc.get_objects()))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["1"]

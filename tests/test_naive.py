@@ -46,8 +46,8 @@ class TestNaiveCodewords:
             weights = [rng.randint(1, 20) for _ in range(n)]
             p = ProbabilityDistribution.from_weights(weights)
             from pdzip.treebuild import codeword, midpoints
-            primary = [codeword(m, pi).to01()
-                       for m, pi in zip(midpoints(p), p)]
+            primary = [codeword(m, w, p.total).to01()
+                       for m, w in zip(midpoints(p), p.weights)]
             assert naive_codewords(p) == primary
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -28,17 +29,23 @@ def cw(s):
     return Codeword(int(s, 2) if s else 0, len(s))
 
 
+def midpoint_fractions(p):
+    # midpoints are numerators over 2 * total
+    return tuple(Fraction(m, 2 * p.total) for m in midpoints(p))
+
+
 class TestMidpoints:
     def test_uniform_four(self):
-        assert midpoints(dist(1, 1, 1, 1)) == (Fraction(1, 8), Fraction(3, 8),
-                                               Fraction(5, 8), Fraction(7, 8))
+        assert midpoint_fractions(dist(1, 1, 1, 1)) == (
+            Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8))
+        assert midpoints(dist(1, 1, 1, 1)) == (1, 3, 5, 7)
 
     def test_dyadic(self):
-        assert midpoints(dist(2, 1, 1)) == (Fraction(1, 4), Fraction(5, 8),
-                                            Fraction(7, 8))
+        assert midpoint_fractions(dist(2, 1, 1)) == (
+            Fraction(1, 4), Fraction(5, 8), Fraction(7, 8))
 
     def test_single(self):
-        assert midpoints(dist(1)) == (Fraction(1, 2),)
+        assert midpoint_fractions(dist(1)) == (Fraction(1, 2),)
 
     def test_zero_entry_rejected(self):
         with pytest.raises(ZeroProbabilityError, match="entry 2"):
@@ -48,16 +55,23 @@ class TestMidpoints:
         rng = random.Random(23)
         for _ in range(50):
             p = random_distribution(rng, rng.randint(1, 64))
-            vals = midpoints(p)
+            vals = midpoint_fractions(p)
             assert all(0 < v < 1 for v in vals)
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def codeword_of(mid, p):
+    # S = mid and p as Fractions, spelled as integers over one total
+    total = math.lcm(mid.denominator, p.denominator)
+    return codeword(mid.numerator * (2 * total // mid.denominator),
+                    p.numerator * (total // p.denominator), total)
+
+
 class TestCodeword:
     def test_examples(self):
-        assert codeword(Fraction(1, 8), Fraction(1, 4)).to01() == "001"
-        assert codeword(Fraction(1, 4), Fraction(1, 2)).to01() == "01"
-        assert codeword(Fraction(19, 20), Fraction(1, 10)).to01() == "11110"
+        assert codeword(1, 1, 4).to01() == "001"
+        assert codeword(1, 1, 2).to01() == "01"
+        assert codeword(19, 1, 10).to01() == "11110"
 
     def test_length_rule(self):
         # length is the least L with 2^L >= 2/p
@@ -69,17 +83,23 @@ class TestCodeword:
             mid = Fraction(rng.randint(0, den - 1), den) + p / 2
             if mid >= 1:
                 continue
-            c = codeword(mid, p)
+            c = codeword_of(mid, p)
             assert Fraction(2) ** c.length >= 2 / p
             assert Fraction(2) ** (c.length - 1) < 2 / p
 
     def test_value_is_truncation(self):
         # codeword bits are the first L binary digits of the midpoint
-        c = codeword(Fraction(5, 8), Fraction(1, 4))
+        c = codeword(5, 1, 4)
         # 5/8 = 0.101b, L = 3
         assert c.to01() == "101"
         assert c.bits == (1, 0, 1)
         assert Fraction(c.value, 2 ** c.length) <= Fraction(5, 8)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            codeword(1, 0, 4)
+        with pytest.raises(ValueError):
+            codeword(8, 1, 4)
 
 
 class TestContraction:
