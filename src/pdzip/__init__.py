@@ -18,7 +18,13 @@ from .core import (
     parse_distribution,
     relative_entropy,
 )
-from .refine import RefinePayload, compress_refined, decompress_refined, refine_step
+from .refine import (
+    RefinedIndex,
+    RefinePayload,
+    compress_refined,
+    decompress_refined,
+    refine_step,
+)
 from .sparse import (
     ApproxDistribution,
     SparsePayload,
@@ -68,6 +74,7 @@ __all__ = [
     "NavigationError",
     "ProbabilityDistribution",
     "RefinePayload",
+    "RefinedIndex",
     "SparsePayload",
     "SparseQueryTable",
     "StrictTreeShape",

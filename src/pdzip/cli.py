@@ -233,11 +233,11 @@ def cmd_query(args) -> int:
     if not 1 <= i <= container.n:
         raise DistributionError(
             f"index {i} out of range for n={container.n}")
-    query = container.spec.query
-    if query is None:
+    index = container.spec.index
+    if index is None:
         raise UsageError(f"method {container.method_name} stores no query "
                          "structure; use sparse-queryable")
-    print(format_probability(query(container.open(), i), 17))
+    print(format_probability(index(container.open()).query_prob(i), 17))
     return 0
 
 

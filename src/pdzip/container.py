@@ -9,8 +9,11 @@ size mismatch is reported as corruption.  Header bytes are deliberately
 excluded from the size guarantees the codecs make about their payloads.
 
 Each method is one record in METHODS: its header fields, payload length
-formula, payload class, decoder and point query.  The container and the
-CLI read every per-method decision from that record.
+formula, payload class, decoder and query index.  The container and the
+CLI read every per-method decision from that record.  A query index is
+built once from an opened payload and then answers query_prob(i) for any
+i: the succinct tree index, the refine exponent table (one tree walk at
+open, O(1) per query), or the sparse-queryable table itself.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .bits import Bits
-from .refine import RefinePayload, decompress_refined, refined_weights
+from .refine import RefinePayload, RefinedIndex, decompress_refined
 from .sparse import (SparsePayload, SparseQueryTable, decompress_sparse,
                      index_width, rank_width)
 from .succinct import SuccinctTreeIndex
@@ -45,8 +48,9 @@ class Method:
     With those values as *params: payload_bits(n, *params) is the exact
     payload length, payload_type.from_bits(bits, n, *params) and to_bits()
     convert the payload object, values(payload) lists q_1..q_n, and
-    query(payload, i) answers q_i alone, or is None when the method
-    stores no query structure.
+    index(payload) builds the method's query index, whose query_prob(i)
+    answers q_i alone, or is None when the method stores no query
+    structure.
     """
 
     tag: int
@@ -55,13 +59,7 @@ class Method:
     payload_bits: Callable[..., int]
     payload_type: type
     values: Callable[[Any], list]
-    query: Optional[Callable[[Any, int], Any]]
-
-
-def _refined_prob(payload: RefinePayload, i: int) -> Fraction:
-    """q_i from the integer refine weights, without materializing Q."""
-    weights, total = refined_weights(payload)
-    return Fraction(weights[i - 1], total)
+    index: Optional[Callable[[Any], Any]]
 
 
 # the lambdas look module functions up when called, so a wrapper installed
@@ -72,23 +70,23 @@ METHODS = {m.tag: m for m in (
            payload_type=TreePayload,
            values=lambda p: list(
                implied_distribution(decode_tree(p)).probabilities()),
-           query=lambda p, i: SuccinctTreeIndex.from_payload(p).query_prob(i)),
+           index=lambda p: SuccinctTreeIndex.from_payload(p)),
     Method(tag=METHOD_REFINE, name="refine", params=("k",),
            payload_bits=lambda n, k: k * n - 2,
            payload_type=RefinePayload,
            values=lambda p: list(decompress_refined(p).entries),
-           query=_refined_prob),
+           index=lambda p: RefinedIndex(p)),
     Method(tag=METHOD_SPARSE, name="sparse", params=("c", "t"),
            payload_bits=lambda n, c, t: t * index_width(n),
            payload_type=SparsePayload,
            values=lambda p: list(decompress_sparse(p).entries),
-           query=None),
+           index=None),
     Method(tag=METHOD_SPARSE_QUERYABLE, name="sparse-queryable",
            params=("c", "t"),
            payload_bits=lambda n, c, t: t * (index_width(n) + rank_width(n, c)),
            payload_type=SparseQueryTable,
            values=lambda p: list(decompress_sparse(p.sparse_payload()).entries),
-           query=lambda p, i: p.lookup(i)[0]),
+           index=lambda p: p),
 )}
 
 

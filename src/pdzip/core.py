@@ -201,18 +201,24 @@ def _fractions(dist: DistributionLike) -> tuple[list[tuple[int, int]], bool]:
             any(isinstance(x, float) for x in dist))
 
 
+_LN2 = math.log(2)
+
+
 def _log2_ratio(num: int, den: int) -> float:
     """log2(num/den) for positive integers, stable for huge operands."""
     if num <= 0:
         raise ValueError("log2 of a non-positive value")
-    # shift so the ratio lands in [1/2, 2); the float division is then exact
-    # to one ulp regardless of the operand sizes
+    # away from 1, shift so the ratio lands in [1/2, 2); the float division
+    # is then exact to one ulp regardless of the operand sizes
     shift = num.bit_length() - den.bit_length()
-    if shift > 0:
-        den <<= shift
-    elif shift < 0:
-        num <<= -shift
-    return shift + math.log2(num / den)
+    if shift > 1:
+        return shift + math.log2(num / (den << shift))
+    if shift < -1:
+        return shift + math.log2((num << -shift) / den)
+    # num/den is in (1/4, 4).  Near 1, log2 of the rounded ratio keeps only
+    # absolute precision; log1p of the exactly rounded (num - den)/den
+    # keeps relative precision
+    return math.log1p((num - den) / den) / _LN2
 
 
 def log2_fraction(x: Fraction) -> float:

@@ -11,12 +11,19 @@ The decoder never sees P.  Replaying the stored doublings leaves
 q_i proportional to 2^(m_i - d_i), where d_i is the base-tree depth and
 m_i the number of levels that mark symbol i, so it computes that closed
 form once in integers; the encoder's per-level distributions are exactly
-the ones this replay passes through.
+the ones this replay passes through.  The normalizer sums over every
+leaf depth, so even one q_i needs the whole base tree walked: the query
+object, RefinedIndex, makes that one walk when it is opened, keeps the
+exponents m_i - d_i (shifted to be non-negative) and the normalizer, and
+then answers each q_i in O(1).  decompress_refined reads the same
+exponents.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .bits import Bits, concat
 from .core import DistributionError, ProbabilityDistribution
@@ -119,22 +126,56 @@ def compress_refined(dist: ProbabilityDistribution, k: int) -> RefinePayload:
     return RefinePayload(k, base, tuple(levels))
 
 
-def refined_weights(payload: RefinePayload) -> tuple[list[int], int]:
-    """Integer weights of the decoded distribution and their sum.
+# '0' and '1' characters to the byte values 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def refined_exponents(payload: RefinePayload) -> tuple[list[int], int]:
+    """Exponents e_i with q_i = 2^e_i / S, and S = sum_j 2^e_j.
 
     Every level doubles its marked symbols and renormalizes, so after all
-    levels q_i = 2^(m_i - d_i) / sum_j 2^(m_j - d_j), where d_i is leaf i's
-    depth in the base tree and m_i the number of levels that mark symbol i.
+    levels q_i is proportional to 2^(m_i - d_i), where d_i is leaf i's
+    depth in the base tree and m_i the number of levels that mark symbol
+    i; e_i = top - d_i + m_i with top the deepest leaf's depth.  The base
+    tree is walked once, and the marks are added up as lanes of one
+    integer per level, each lane wide enough to hold k - 2.
     """
     depths = decode_tree(payload.base).leaf_depths
-    marks = [0] * payload.n
+    n = payload.n
+    width = max(1, -(-len(payload.levels).bit_length() // 8))  # bytes per lane
+    total = 0
     for level in payload.levels:
-        marks = [m + b for m, b in zip(marks, level)]
+        lanes = bytearray(width * n)
+        lanes[width - 1::width] = (
+            format(level.as_int(), f"0{n}b").encode().translate(_BIT_BYTES))
+        total += int.from_bytes(lanes, "big")
+    data = total.to_bytes(width * n, "big")
+    marks = data[::width]
+    for t in range(1, width):
+        marks = [(m << 8) | b for m, b in zip(marks, data[t::width])]
     top = max(depths)
-    weights = [1 << (top - d + m) for d, m in zip(depths, marks)]
-    return weights, sum(weights)
+    exponents = [top - d + m for d, m in zip(depths, marks)]
+    # few distinct exponents: one shifted term per exponent, not per symbol
+    return exponents, sum(count << e for e, count in Counter(exponents).items())
+
+
+class RefinedIndex:
+    """Point queries on a refine payload: one tree walk at open, then each
+    q_i = 2^e_i / S is read from the stored exponents in O(1)."""
+
+    __slots__ = ("n", "_exponents", "_total")
+
+    def __init__(self, payload: RefinePayload):
+        self.n = payload.n
+        self._exponents, self._total = refined_exponents(payload)
+
+    def query_prob(self, i: int) -> Fraction:
+        if not 1 <= i <= self.n:
+            raise DistributionError(f"symbol index {i} out of range")
+        return Fraction(1 << self._exponents[i - 1], self._total)
 
 
 def decompress_refined(payload: RefinePayload) -> ProbabilityDistribution:
     """The stored distribution, from the payload alone: no access to P."""
-    return ProbabilityDistribution._exact(*refined_weights(payload))
+    exponents, total = refined_exponents(payload)
+    return ProbabilityDistribution._exact([1 << e for e in exponents], total)

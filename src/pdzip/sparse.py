@@ -211,6 +211,10 @@ class SparseQueryTable:
                 return value, comparisons
         return _light_value(self.n, self.t), comparisons
 
+    def query_prob(self, i: int) -> float:
+        """The probability of symbol i, as lookup finds it."""
+        return self.lookup(i)[0]
+
     def sparse_payload(self) -> SparsePayload:
         """The heavy indices back in rank order, as select_heavy gave them."""
         ranked = sorted(self.pairs, key=lambda pair: pair[1])

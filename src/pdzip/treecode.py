@@ -122,10 +122,16 @@ def decode_tree(payload: TreePayload) -> StrictTreeShape:
     for run in format(flags, f"0{m}b").split("0")[:-1]:
         if at < 0:
             raise MalformedPayloadError("bits continue after the tree closed")
-        d = at + len(run)
+        if run:
+            # the run's last internal node has this leaf as its left
+            # child, so its right subtree comes next: it is never pending
+            d = at + len(run)
+            pending.extend(range(at, d - 1))
+            at = d
+        else:
+            d = at
+            at = pending.pop() + 1 if pending else -1
         depths.append(d)
-        pending.extend(range(at, d))
-        at = pending.pop() + 1 if pending else -1
     if at >= 0:
         raise MalformedPayloadError("bits ran out before the tree closed")
     # the walk has checked the depths; keep its flags rather than walk again

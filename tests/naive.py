@@ -212,6 +212,18 @@ class LinkedTree:
         return self.leaves[i - 1]
 
 
+def fraction_decompress_refined(payload: RefinePayload) -> tuple[Fraction, ...]:
+    """Replay the stored levels one at a time from the base tree's
+    2^{-d_i}: double every marked q_i, then renormalize."""
+    tree = LinkedTree(list(payload.base.bits) + [0])
+    q = [Fraction(1, 1 << tree.leaf_depth(i)) for i in range(1, tree.n + 1)]
+    for level in payload.levels:
+        q = [2 * x if b else x for x, b in zip(q, level)]
+        total = sum(q)
+        q = [x / total for x in q]
+    return tuple(q)
+
+
 # ----------------------------------------------------------------------
 # direct-summation measures
 

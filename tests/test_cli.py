@@ -13,7 +13,7 @@ from pdzip.cli import (
     format_significant,
     main,
 )
-from pdzip.core import parse_distribution
+from pdzip.refine import decompress_refined
 
 
 def write_dist(path, lines):
@@ -193,14 +193,36 @@ class TestQuery:
         src = write_dist(tmp_path / "p.txt", [7, 3, 2, 1])
         box = str(tmp_path / "p.pdz")
         run(capsys, "compress", "--method", "refine", "--k", "4", src, box)
-        out = str(tmp_path / "q.txt")
-        run(capsys, "decompress", box, out)
-        stored = parse_distribution((tmp_path / "q.txt").read_text())
+        with open(box, "rb") as fh:
+            stored = decompress_refined(cont.refine_payload(cont.unpack(fh.read())))
         for i in range(1, 5):
             code, stdout, _ = run(capsys, "query", "--index", str(i), box)
             assert code == 0
-            got = Fraction(stdout.strip())
-            assert abs(got - stored[i - 1]) < Fraction(1, 10 ** 12)
+            assert stdout == format_probability(stored.entries[i - 1], 17) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "tree"], ["--method", "tree", "--epsilon", "1/10"],
+        ["--method", "refine", "--k", "2"], ["--method", "refine", "--k", "5"],
+        ["--method", "refine", "--k", "3", "--epsilon", "1/10"],
+        ["--method", "sparse-queryable"],
+        ["--method", "sparse-queryable", "--c", "3/2"]])
+    def test_every_index_prints_the_decoded_value(self, tmp_path, capsys, argv):
+        # one symbol (a depth-0 tree), a skewed input, and zero bins
+        # where the method takes them
+        inputs = [[5], [40, 9, 3, 3, 2, 1, 1, 1]]
+        if "--epsilon" in argv or "sparse-queryable" in argv:
+            inputs.append([0, 6, 0, 1, 3, 0])
+        for j, weights in enumerate(inputs):
+            src = write_dist(tmp_path / f"p{j}.txt", weights)
+            box = str(tmp_path / f"p{j}.pdz")
+            assert run(capsys, "compress", *argv, src, box)[0] == 0
+            with open(box, "rb") as fh:
+                container = cont.unpack(fh.read())
+            values = container.spec.values(container.open())
+            for i, value in enumerate(values, start=1):
+                code, stdout, _ = run(capsys, "query", "--index", str(i), box)
+                assert code == 0
+                assert stdout == format_probability(value, 17) + "\n"
 
     def test_queryable_sparse(self, tmp_path, capsys):
         src = write_dist(tmp_path / "p.txt", [13, 1, 1, 1])

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,27 @@ class TestRelativeEntropy:
             q = ProbabilityDistribution.from_weights(
                 [rng.randint(1, 99) for _ in range(n)])
             assert relative_entropy(p, q) >= -1e-12
+
+
+    def test_small_divergence_relative_accuracy(self):
+        # near-equal pairs: every term's ratio is within 1e-3 of 1 and D is
+        # about 1e-10 to 1e-7, so each term needs relative, not absolute,
+        # precision; the reference is an 80-digit decimal sum
+        rng = random.Random(19)
+        for _ in range(200):
+            base = [rng.randint(10 ** 6, 2 * 10 ** 6) for _ in range(3)]
+            p = ProbabilityDistribution.from_weights(base)
+            q = ProbabilityDistribution.from_weights(
+                [b + rng.randint(-300, 300) for b in base])
+            with localcontext() as ctx:
+                ctx.prec = 80
+                want = sum(Decimal(a.numerator) / a.denominator
+                           * (Decimal(a.numerator * b.denominator)
+                              / (a.denominator * b.numerator)).ln()
+                           for a, b in zip(p.entries, q.entries))
+                want /= Decimal(2).ln()
+                got = Decimal(relative_entropy(p, q))
+                assert abs(got - want) <= want * Decimal("1e-9")
 
 
 class TestMaxRatio:

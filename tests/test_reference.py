@@ -23,6 +23,7 @@ from naive import (
     fraction_code_tree,
     fraction_codeword,
     fraction_compress_refined,
+    fraction_decompress_refined,
     fraction_midpoints,
     fraction_refine_step,
     fraction_select_heavy,
@@ -91,6 +92,33 @@ def test_containers_match_reference(main_corpus, zero_corpus, reference_levels,
             continue
         got, want = _payloads(ours, ref, method, param, reference_levels, top)
         assert container_for(got).pack() == container_for(want).pack()
+
+
+INDEX_CASES = ([("tree", None)] + [("refine", k) for k in range(2, 7)]
+               + [("sparse-queryable", c) for c in (Fraction(1), Fraction(3, 2))])
+
+
+@pytest.mark.parametrize("method,param", INDEX_CASES,
+                         ids=[f"{m}-{p}" for m, p in INDEX_CASES])
+def test_index_equals_decode(main_corpus, zero_corpus, method, param):
+    # every query an index answers is the decoded value itself: the same
+    # Fraction for tree and refine, the same float for sparse-queryable
+    for p in main_corpus + zero_corpus:
+        if method == "sparse-queryable":
+            payload = build_query_table(select_heavy(p, param))
+        else:
+            if not p.strictly_positive():
+                p = smooth(p, Fraction(1, 10))
+            payload = (compress_tree(p) if method == "tree"
+                       else compress_refined(p, param))
+        spec = container_for(payload).spec
+        index = spec.index(payload)
+        values = spec.values(payload)
+        kind = float if method == "sparse-queryable" else Fraction
+        assert all(type(v) is kind for v in values)
+        assert [index.query_prob(i) for i in range(1, p.n + 1)] == values
+        if method == "refine":
+            assert tuple(values) == fraction_decompress_refined(payload)
 
 
 def test_build_smoothed_matches_reference(main_corpus, zero_corpus, monkeypatch):

@@ -13,14 +13,18 @@ from pdzip.core import (
     relative_entropy,
 )
 from pdzip.refine import (
+    RefinedIndex,
     RefinePayload,
     compress_refined,
     decompress_refined,
     refine_step,
+    refined_exponents,
 )
 from pdzip.treebuild import ZeroProbabilityError
-from pdzip.treecode import TreePayload, decode_tree, implied_distribution
+from pdzip.treecode import (StrictTreeShape, TreePayload, decode_tree,
+                            encode_tree, implied_distribution)
 from conftest import random_distribution
+from naive import fraction_decompress_refined
 
 
 def dist(*weights):
@@ -173,6 +177,27 @@ class TestDecompressRefined:
             weights = [1 << (dmax - d + m) for d, m in zip(depths, marks)]
             total = sum(weights)
             assert tuple(q) == tuple(Fraction(w, total) for w in weights)
+
+    def test_mark_lanes_hold_every_level(self):
+        # 298 levels marking every symbol: a count of 298 needs lanes
+        # wider than a byte, or it would wrap past 255
+        base = encode_tree(StrictTreeShape((1, 2, 3, 3)))
+        for marks in ("1111", "1010", "0001"):
+            payload = RefinePayload(300, base,
+                                    (Bits.from_string(marks),) * 298)
+            want = fraction_decompress_refined(payload)
+            assert tuple(decompress_refined(payload)) == want
+            index = RefinedIndex(payload)
+            assert tuple(index.query_prob(i) for i in range(1, 5)) == want
+        exponents, total = refined_exponents(payload)
+        assert exponents == [2, 1, 0, 298]
+        assert total == 7 + (1 << 298)
+
+    def test_index_range_checked(self):
+        index = RefinedIndex(compress_refined(dist(3, 1), 4))
+        for bad in (0, 3, -1):
+            with pytest.raises(DistributionError):
+                index.query_prob(bad)
 
     def test_normalizer_bound_per_level(self):
         # 1 + marked mass stays below (2^(k-2)+1)/(2^(k-3)+1) at level k

@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdzip.bits import Bits
 from pdzip.core import ProbabilityDistribution
+from pdzip.refine import RefinedIndex, RefinePayload, refined_exponents
 from pdzip.treebuild import StrictTreeShape, code_tree
 from pdzip.treecode import (
     DyadicDistribution,
@@ -15,6 +19,7 @@ from pdzip.treecode import (
     implied_distribution,
 )
 from conftest import random_distribution, random_tree_depths
+from naive import LinkedTree
 
 
 class TestEncode:
@@ -68,6 +73,47 @@ class TestDecode:
             TreePayload(Bits.from_string("10"), 3)
         with pytest.raises(MalformedPayloadError):
             TreePayload(Bits.from_string("1010"), 2)
+
+
+def _tree_bits(n, rng, flip):
+    """A random tree's 2n-2 stored bits, with bit `flip` flipped if any."""
+    bits = encode_tree(StrictTreeShape(random_tree_depths(rng, n))).bits.as_int()
+    if 0 <= flip < 2 * n - 2:
+        bits ^= 1 << flip
+    return n, bits
+
+
+_stored = st.one_of(
+    st.integers(1, 64).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << (2 * n - 2)) - 1))),
+    st.builds(_tree_bits, st.integers(1, 64), st.randoms(use_true_random=False),
+              st.integers(-1, 125)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_stored, st.lists(st.integers(0, (1 << 64) - 1), max_size=3))
+def test_walk_matches_linked_tree(stored, level_ints):
+    # the one walker either rejects the bits or finds the linked tree's
+    # leaf depths; the refine decoders on the same bits raise nothing else
+    n, value = stored
+    base = TreePayload(Bits.from_int(value, 2 * n - 2), n)
+    levels = tuple(Bits.from_int(v >> (64 - n), n) for v in level_ints)
+    refine = RefinePayload(len(levels) + 2, base, levels)
+    try:
+        tree = LinkedTree(list(base.bits) + [0])
+    except ValueError:
+        for decode in (decode_tree, refined_exponents, RefinedIndex):
+            with pytest.raises(MalformedPayloadError):
+                decode(base if decode is decode_tree else refine)
+        return
+    depths = tuple(tree.leaf_depth(i) for i in range(1, n + 1))
+    assert decode_tree(base).leaf_depths == depths
+    marks = [sum(level[i] for level in levels) for i in range(n)]
+    exponents, total = refined_exponents(refine)
+    assert exponents == [max(depths) - d + m for d, m in zip(depths, marks)]
+    assert total == sum(1 << e for e in exponents)
+    assert RefinedIndex(refine).query_prob(n) == Fraction(1 << exponents[-1], total)
 
 
 class TestDyadic:
