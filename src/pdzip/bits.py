@@ -134,19 +134,22 @@ class Bits:
     def slice(self, start: int, stop: int) -> "Bits":
         if not 0 <= start <= stop <= self._nbits:
             raise ValueError("bad slice bounds")
-        width = stop - start
-        if width == 0:
-            return Bits.empty()
-        value = (self.as_int() >> (self._nbits - stop)) & ((1 << width) - 1)
-        return Bits.from_int(value, width)
+        return Bits.from_int(self.uint(start, stop - start), stop - start)
 
     def uint(self, start: int, width: int) -> int:
-        """The unsigned integer held in bits [start, start+width)."""
+        """The unsigned integer held in bits [start, start+width).
+
+        Only the bytes that cover the field are read, so cutting a long
+        sequence into fields costs its length once, not once per field.
+        """
         if width == 0:
             return 0
-        if not 0 <= start <= start + width <= self._nbits:
+        stop = start + width
+        if not 0 <= start <= stop <= self._nbits:
             raise ValueError("bad field bounds")
-        return (self.as_int() >> (self._nbits - start - width)) & ((1 << width) - 1)
+        end = (stop + 7) >> 3
+        chunk = int.from_bytes(self._data[start >> 3:end], "big")
+        return (chunk >> (8 * end - stop)) & ((1 << width) - 1)
 
 
 def _bad(ch: str) -> int:

@@ -32,6 +32,17 @@ nodes.  The final word is padded with 1 bits: they only raise the excess
 after the last real position, so they never make a first drop and the
 final word needs no special case.
 
+A leaf query walks up, not down.  Leaf i is the i-th 0, found from the
+per-block ones counts; the excess just before it, the number of left
+turns on its path, follows from its position and i.  Going back from a
+node, its parent is the first flag where the 1s read catch up with the
+0s, and a 256-entry table climbs every such edge that ends within the 8
+flags before the node.  Only a right child whose left sibling's subtree
+has 9 or more nodes needs an excess search, one backward search to its
+parent.  A top-down descent would search forward at every node on the
+path whose left child is internal, a superset of these, so the upward
+walk never searches more often, and not at all on a comb.
+
 The aux-bit accounting in aux_bits() reports the packed widths the
 directories need (per-block and per-node values are bounded by the span
 they cover, so their fields are narrow; absolute counters appear once per
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
 from fractions import Fraction
 
 from .bits import Bits
@@ -107,8 +119,31 @@ def _first_drop(word: int, need: int) -> int:
     return 8 + _FIRST_DROP[(need + _BYTE_DELTA[hi]) << 8 | (word & 0xFF)]
 
 
-def _backward(word: int) -> int:
-    return _BYTE_BACK[word & 0xFF] << 8 | _BYTE_BACK[word >> 8]
+def _climb(window: int) -> tuple[int, int, int]:
+    """(steps, left steps, flags consumed) climbing over the 8 flags
+    before a node, the flag just before it in the lowest bit.
+
+    Going back from a node, its parent is the first flag where the 1s
+    read catch up with the 0s: the flag just before a left child, or the
+    flag before a right child's whole left sibling subtree, which holds
+    one 0 more than 1s.  The climb stops at a node whose parent is not
+    among the 8 flags.
+    """
+    steps = left = used = 0
+    surplus = 0  # 0s less 1s read back from the current node
+    for k in range(8):
+        surplus += -1 if window >> k & 1 else 1
+        if surplus <= 0:
+            steps += 1
+            left += k == used
+            used = k + 1
+            surplus = 0
+    return steps, left, used
+
+
+# _CLIMB[window]: _climb(window); 0 flags consumed means the parent is
+# more than 8 flags back
+_CLIMB = [_climb(window) for window in range(256)]
 
 
 def _ceil_log2(x: int) -> int:
@@ -125,7 +160,7 @@ class SuccinctTreeIndex:
     """
 
     __slots__ = ("_n", "_m", "_B", "_G", "_nb", "_words", "_blk_entry",
-                 "_levels")
+                 "_blk_zeros", "_levels")
 
     def __init__(self, shape_bits: Bits, n: int):
         # shape_bits carries all 2n-1 preorder leaf flags
@@ -159,6 +194,9 @@ class SuccinctTreeIndex:
             entry.append(cur)
         self._nb = len(bmin)
         self._blk_entry = entry
+        # leaves before each block, from its entry excess: the per-block
+        # ones counts that aux_bits() charges
+        self._blk_zeros = [(b * B - entry[b]) >> 1 for b in range(len(bmin))]
         # levels[0] holds the block minima, each further level the minima
         # of _ARITY consecutive nodes below; the root is never read, so
         # the top stored level is the first with at most _ARITY nodes
@@ -307,7 +345,9 @@ class SuccinctTreeIndex:
         w = start >> 4
         # steps from start back to the word's first bit, then rising 1s
         rem = 15 - (start & 15)
-        back = ((_backward(words[w]) << rem) & 0xFFFF) | ((1 << rem) - 1)
+        word = words[w]
+        back = ((_BYTE_BACK[word & 0xFF] << 8 | _BYTE_BACK[word >> 8]) << rem
+                & 0xFFFF) | ((1 << rem) - 1)
         if _WORD_MIN[back] < 0:
             return start - 1 - _first_drop(back, 1)
         wpb = self._B >> 4
@@ -317,7 +357,8 @@ class SuccinctTreeIndex:
             stop = blk * wpb
             while w > stop:
                 w -= 1
-                back = _backward(words[w])
+                word = words[w]
+                back = _BYTE_BACK[word & 0xFF] << 8 | _BYTE_BACK[word >> 8]
                 if cur + _WORD_MIN[back] <= target:
                     return (w << 4) + 14 - _first_drop(back, cur - target)
                 cur += _WORD_DELTA[back]
@@ -330,7 +371,8 @@ class SuccinctTreeIndex:
             return (w << 4) - 1
         while True:
             w -= 1
-            back = _backward(words[w])
+            word = words[w]
+            back = _BYTE_BACK[word & 0xFF] << 8 | _BYTE_BACK[word >> 8]
             if cur + _WORD_MIN[back] <= target:
                 return (w << 4) + 14 - _first_drop(back, cur - target)
             cur += _WORD_DELTA[back]
@@ -388,31 +430,65 @@ class SuccinctTreeIndex:
     # leaf queries
 
     def leaf_descent(self, i: int) -> tuple[int, int]:
-        """(preorder position of leaf i, number of descent steps).
+        """(preorder position of leaf i, number of steps from it to the root).
 
-        The step counter is incremented once per edge walked, so it is
-        the leaf's depth by construction of the walk, not by formula.
+        Leaf i is the i-th 0 of the flags: one bisection over the
+        per-block leaf counts and a scan of that block's words find the
+        word that holds it, and clearing the leaves before it in that word
+        leaves it the highest.  The walk then goes up, one edge per step,
+        so the step counter is the leaf's depth by construction of the
+        walk, not by formula.  A table over the 8 flags before the current
+        node climbs every edge whose parent lies among them: a left
+        child's, and a right child's whose left sibling has at most 7
+        nodes.  Any other right child costs one backward excess search.
+        So a query makes at most one search per right turn over an
+        internal left sibling: none on a comb, at most one on a left
+        caterpillar.  Each table read climbs at least one edge or leads to
+        a search, so there are at most d_i of them (d_i / 4 on a comb).
         """
         if not 1 <= i <= self._n:
             raise NavigationError(f"leaf index {i} out of range")
-        v = 0
-        eb = 0  # excess before v
+        zeros = self._blk_zeros
+        b = bisect_left(zeros, i) - 1
+        r = i - zeros[b]
+        words = self._words
+        w = b * (self._B >> 4)
+        leaves = words[w] ^ 0xFFFF
+        z = leaves.bit_count()
+        while z < r:
+            r -= z
+            w += 1
+            leaves = words[w] ^ 0xFFFF
+            z = leaves.bit_count()
+        for _ in range(r - 1):
+            leaves ^= 1 << (leaves.bit_length() - 1)
+        v = pos = (w << 4) + 16 - leaves.bit_length()
+        # E(v - 1): the 1s before leaf i less its i - 1 0s, which is the
+        # number of left turns between the root and v
+        e = v - 2 * (i - 1)
         steps = 0
-        while self._bit(v):
-            lc = v + 1
-            if self._bit(lc) == 0:
-                end_left = lc
+        while v:
+            # the 8 flags before v, zeros before position 0
+            x = v - 1
+            w = x >> 4
+            shift = 15 - (x & 15)
+            if shift <= 8 or not w:
+                window = words[w] >> shift & 0xFF
             else:
-                end_left = self._fwdsearch(lc, eb + 1)
-            leaves_left = (end_left - v + 1) // 2
-            if i <= leaves_left:
-                v = lc
-                eb += 1
+                window = (words[w - 1] << 16 | words[w]) >> shift & 0xFF
+            up, left, used = _CLIMB[window]
+            if used:
+                steps += up
+                e -= left
+                v -= used
             else:
-                i -= leaves_left
-                v = end_left + 1
-            steps += 1
-        return v, steps
+                # a right child whose left sibling ends at v - 1: the
+                # parent p has E(p - 1) = e and every flag between p and
+                # v - 1 lies higher, so p - 1 is the first drop back from
+                # v - 2, where E(v - 2) = e + 1
+                v = self._bwdsearch(v - 2, e + 1) + 1
+                steps += 1
+        return pos, steps
 
     def leaf_depth(self, i: int) -> int:
         _, steps = self.leaf_descent(i)

@@ -194,6 +194,7 @@ def test_criterion_5_succinct_navigation():
             for i in range(1, n + 1):
                 pos, steps = idx.leaf_descent(i)
                 assert steps == depths[i - 1]
+                assert pos == oracle.leaf_position(i)
                 assert idx.query_prob(i) == Fraction(1, 1 << steps)
 
         n16 = 1 << 16

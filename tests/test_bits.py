@@ -109,3 +109,4 @@ def test_round_trip_random():
         lo = rng.randint(0, nbits)
         hi = rng.randint(lo, nbits)
         assert b.slice(lo, hi).to01() == s[lo:hi]
+        assert b.uint(lo, hi - lo) == int(s[lo:hi] or "0", 2)

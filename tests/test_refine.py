@@ -112,6 +112,22 @@ class TestRefinePayload:
             again = RefinePayload.from_bits(payload.to_bits(), p.n, k)
             assert again == payload
 
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_from_bits_cuts_every_level(self, k):
+        # arbitrary bits, not only encoder output, at level offsets on and
+        # off byte edges: every field is its stretch of the 0/1 text, and
+        # to_bits puts them back
+        rng = random.Random(67 + k)
+        for n in (1, 2, 7, 8, 9, 17, 100):
+            text = "".join(rng.choice("01") for _ in range(k * n - 2))
+            bits = Bits.from_string(text)
+            payload = RefinePayload.from_bits(bits, n, k)
+            assert payload.base.bits.to01() == text[:2 * n - 2]
+            assert [lv.to01() for lv in payload.levels] == [
+                text[2 * n - 2 + j * n:2 * n - 2 + (j + 1) * n]
+                for j in range(k - 2)]
+            assert payload.to_bits() == bits
+
     def test_from_bits_wrong_length(self):
         with pytest.raises(ValueError):
             RefinePayload.from_bits(Bits.from_string("10100"), 2, 3)

@@ -44,6 +44,20 @@ def assert_same_verdict(payload):
     assert tuple(idx.leaf_depth(i) for i in range(1, payload.n + 1)) == depths
 
 
+def geometric_depths(n, r=2, rising=False):
+    """Code-tree leaf depths of weights r^0..r^(n-1), rising or falling."""
+    weights = [Fraction(r) ** i for i in range(n)]
+    if not rising:
+        weights.reverse()
+    return code_tree(ProbabilityDistribution.from_weights(weights)).leaf_depths
+
+
+def flag_depths(flags):
+    """Leaf depths of the strict tree with these preorder flags."""
+    oracle = LinkedTree([int(ch) for ch in flags])
+    return tuple(oracle.leaf_depth(i) for i in range(1, oracle.n + 1))
+
+
 def block_size(n):
     # the index's block size, restated so that the cases below can be put
     # on block boundaries; the boundary test checks it against the index
@@ -76,6 +90,29 @@ def boundary_cases():
     # child (the position before the first block) climb to the top level
     cases.append(("three-levels", random_tree_depths(rng, 10000,
                                                      balanced=True)))
+    # the shapes of falling and rising geometric weights, r = 2: a comb,
+    # whose every left child is a leaf, so the upward walk never searches;
+    # and a left caterpillar, whose run of 1499 1s crosses 94 words and
+    # 11 blocks and whose leaves from the sixth on each search back to it
+    n = 1500
+    cases.append(("comb-geometric-down", geometric_depths(n)))
+    cases.append(("caterpillar-geometric-up", geometric_depths(n, rising=True)))
+    cases.append(("geometric-3/2-up", geometric_depths(1000, Fraction(3, 2),
+                                                       rising=True)))
+    # leaf 1 at position d < 8: the byte before a node near the root
+    # reaches into the zero padding before position 0
+    for d in range(1, 8):
+        cases.append((f"first-leaf-at-{d}",
+                      (d,) + tuple(range(d, 1, -1))
+                      + tuple(1 + x for x in random_tree_depths(rng, 20))))
+    # seven left turns up from a leaf, then the byte before the node
+    # ends on a 0 that is the last flag of a word (comb of c nodes) or
+    # the first flag of the next (the same comb one level down)
+    for c in (8, 48):
+        cases.append((f"window-0-ends-word-{2 * c - 1}",
+                      flag_depths("10" * c + "1" * 7 + "0" * 8)))
+        cases.append((f"window-0-starts-word-{2 * c}",
+                      flag_depths("1" + "10" * c + "1" * 7 + "0" * 9)))
     return cases
 
 
@@ -158,6 +195,8 @@ class TestOracleEquivalence:
             for i in range(1, n + 1):
                 assert idx.leaf_depth(i) == depths[i - 1]
                 assert idx.leaf_depth(i) == oracle.leaf_depth(i)
+                assert idx.leaf_descent(i) == (oracle.leaf_position(i),
+                                               oracle.leaf_depth(i))
 
     def test_descent_step_count_is_depth(self):
         rng = random.Random(113)
@@ -255,6 +294,67 @@ def test_boundaries_match_linked_tree(depths):
             for f in flips:
                 bad ^= 1 << f
             assert_same_verdict(TreePayload(Bits.from_int(bad, stored), n))
+
+
+def right_turns(oracle, i):
+    """(all, far) right turns on leaf i's path over an internal left
+    sibling; far ones have their parent more than 8 flags back, because
+    the sibling's subtree has 9 or more nodes."""
+    turns = far = 0
+    v = oracle.leaf_position(i)
+    while v:
+        p = oracle.parent(v)
+        if v == oracle.right_child(p) and not oracle.is_leaf(p + 1):
+            turns += 1
+            far += v - p > 8
+        v = p
+    return turns, far
+
+
+def test_descent_work_bound(monkeypatch):
+    # the upward walk searches once per right turn whose parent lies
+    # beyond the 8 flags its table reads, so at most once per right turn
+    # over an internal left sibling, and never forward; counted calls,
+    # no timing
+    rng = random.Random(229)
+    cases = {"comb": geometric_depths(600),
+             "caterpillar": geometric_depths(600, rising=True),
+             "geometric-3/2-down": geometric_depths(400, Fraction(3, 2)),
+             "geometric-3/2-up": geometric_depths(400, Fraction(3, 2),
+                                                  rising=True)}
+    for k in range(4):
+        cases[f"random-{k}"] = random_tree_depths(rng, 400, balanced=k % 2)
+    built = []
+    for name, depths in cases.items():
+        payload = encode_tree(StrictTreeShape(depths))
+        built.append((name, SuccinctTreeIndex.from_payload(payload),
+                      LinkedTree(payload.bits + Bits.from_string("0"))))
+    calls = {"_fwdsearch": 0, "_bwdsearch": 0}
+
+    def counted(name):
+        search = getattr(SuccinctTreeIndex, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return search(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(SuccinctTreeIndex, name, counted(name))
+    searched = 0
+    for name, idx, oracle in built:
+        for i in range(1, oracle.n + 1):
+            calls["_fwdsearch"] = calls["_bwdsearch"] = 0
+            idx.leaf_descent(i)
+            turns, far = right_turns(oracle, i)
+            assert calls["_fwdsearch"] == 0, (name, i)
+            assert calls["_bwdsearch"] == far <= turns, (name, i)
+            searched += far
+            if name == "comb":
+                assert turns == 0
+            elif name == "caterpillar":
+                assert turns <= 1
+    assert searched > 0
 
 
 class TestSmoothing:
@@ -444,4 +544,23 @@ class TestWordTables:
             for need, k in drops.items():
                 assert succinct._first_drop(word, need) == k
             back = int(format(word ^ 0xFFFF, "016b")[::-1], 2)
-            assert succinct._backward(word) == back
+            assert (succinct._BYTE_BACK[word & 0xFF] << 8
+                    | succinct._BYTE_BACK[word >> 8]) == back
+
+    def test_climb_table(self):
+        # the climb over the 8 flags before a node: each step goes back to
+        # the first flag where the 1s catch up with the 0s (one flag for a
+        # left child; the left sibling's subtree and the parent's flag for
+        # a right child)
+        for byte in range(256):
+            back = format(byte, "08b")[::-1]  # the flag before the node first
+            steps = left = used = 0
+            while True:
+                ends = [j for j in range(used + 1, 9)
+                        if back[used:j].count("1") >= back[used:j].count("0")]
+                if not ends:
+                    break
+                steps += 1
+                left += ends[0] == used + 1
+                used = ends[0]
+            assert succinct._CLIMB[byte] == (steps, left, used)
