@@ -14,13 +14,28 @@ contraction works off longest-common-prefix lengths of consecutive
 codewords.  This keeps the whole pipeline at O(n) arithmetic operations
 instead of one operation per codeword bit, which matters for skewed
 inputs whose total codeword length is quadratic.
+
+The contracted trie is the Cartesian tree of those LCPs (Fischer & Heun,
+SIAM J. Comput. 2011): codewords j and j+1 part at the branching node
+whose depth is their LCP, and its subtree holds the leaves between the
+nearest smaller LCPs on either side.  One left-to-right pass over the
+LCPs with a stack that keeps them strictly increasing builds the whole
+shape.  Pushing the LCP in front of leaf j first pops the nodes whose
+subtrees end at leaf j - 1; the pushed node's subtree starts at the leaf
+just after the new stack top, so it is one more 1 in the preorder run of
+internal nodes before that leaf.  Those runs, each closed by its leaf's
+0, are the 2n-1 preorder flags, and the leaf depths follow from them as
+d_j = d_{j-1} - (nodes popped in front of leaf j) + (run before leaf j).
+A Cartesian tree over the n-1 gaps between n leaves is always strict, so
+the shape is made from these depths and flags as they are, without the
+checking walk that StrictTreeShape(depths) does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
+from operator import add, sub
 from typing import Sequence
 
 from .core import DistributionError, ProbabilityDistribution
@@ -92,63 +107,72 @@ def codeword(midpoint: int, weight: int, total: int) -> Codeword:
 def contract_to_strict(codewords: Sequence[Codeword]) -> StrictTreeShape:
     """Depths of the codeword trie after removing every one-child node.
 
-    The codewords must be strictly increasing and prefix-free.  Two
-    consecutive codewords meet at a branching node whose depth is their
-    common prefix length, and leaf i's branching ancestors are where it
-    meets its neighbours on either side: the distinct suffix minima of the
-    LCPs to its left and the distinct prefix minima of those to its right.
-    A stack that keeps the LCPs seen so far strictly increasing holds
-    exactly those minima, so one pass each way gives every depth in O(n).
-    The two sides never share a depth, and _lcp rejects the unsorted or
-    prefix neighbours that could give one node a third child.
+    The codewords must be strictly increasing and prefix-free; anything
+    else raises CodewordSetError.
     """
-    if not codewords:
+    return _contract([c.value for c in codewords],
+                     [c.length for c in codewords])
+
+
+def _contract(values: Sequence[int], lengths: Sequence[int]) -> StrictTreeShape:
+    """The contracted trie of the codewords (values[j], lengths[j]).
+
+    One pass computes each LCP, rejects a codeword that is a prefix of
+    the next or sorts after it (the LCPs would then describe no trie of
+    these codewords), and runs the Cartesian-tree stack described in the
+    module docstring.
+    """
+    n = len(values)
+    if not n:
         raise CodewordSetError("no codewords")
-    lcps = [_lcp(a, b) for a, b in zip(codewords, codewords[1:])]
-    left = _branch_counts(lcps)
-    right = _branch_counts(lcps[::-1])[::-1]
-    return StrictTreeShape(tuple(a + b for a, b in zip(left, right)))
-
-
-def _branch_counts(lcps: list[int]) -> list[int]:
-    # entry i: size of the strictly increasing stack after lcps[:i]
-    counts = [0]
-    stack: list[int] = []
-    for lcp in lcps:
-        while stack and stack[-1] >= lcp:
+    runs = [0] * n  # internal nodes right before leaf j in preorder
+    pops = [0] * n  # nodes whose subtrees end at leaf j - 1
+    stack = [-1]    # LCPs of the nodes still open on the right
+    first = [0]     # the leaf just after each stack entry
+    a, la = values[0], lengths[0]
+    for j in range(1, n):
+        b, lb = values[j], lengths[j]
+        if la < lb:
+            m, diff = la, a ^ (b >> (lb - la))
+        else:
+            m, diff = lb, (a >> (la - lb)) ^ b
+        if not diff:
+            raise CodewordSetError("one codeword is a prefix of another")
+        lcp = m - diff.bit_length()
+        # sortedness: at the first differing bit the earlier word must hold 0
+        if not (b >> (lb - lcp - 1)) & 1:
+            raise CodewordSetError("codewords are not strictly increasing")
+        top = len(stack)
+        while stack[-1] >= lcp:
             stack.pop()
+            first.pop()
+        runs[first[-1]] += 1
+        pops[j] = top - len(stack)
         stack.append(lcp)
-        counts.append(len(stack))
-    return counts
-
-
-def _lcp(a: Codeword, b: Codeword) -> int:
-    """Common prefix length of two codewords; validates order and freeness."""
-    m = min(a.length, b.length)
-    x = a.value >> (a.length - m)
-    y = b.value >> (b.length - m)
-    diff = x ^ y
-    if diff == 0:
-        raise CodewordSetError("one codeword is a prefix of another")
-    lcp = m - diff.bit_length()
-    # sortedness: at the first differing bit the earlier word must hold 0
-    if not (y >> (m - lcp - 1)) & 1:
-        raise CodewordSetError("codewords are not strictly increasing")
-    return lcp
+        first.append(j)
+        a, la = b, lb
+    depths = tuple(accumulate(map(sub, runs, pops)))
+    flags = int("0".join(map("1".__mul__, runs)) + "0", 2)
+    return StrictTreeShape._trusted(depths, flags)
 
 
 def code_tree(dist: ProbabilityDistribution) -> StrictTreeShape:
     """Strict code tree for a strictly positive distribution.
 
-    Composition of midpoints, codeword extraction, and contraction; the
-    resulting leaf depths satisfy 2^{d_i} * p_i < 4.  A single-symbol
-    distribution maps straight to the one-leaf tree.
+    The codewords of `codeword`, computed as plain ints, then contracted;
+    the resulting leaf depths satisfy 2^{d_i} * p_i < 4.
     """
-    if dist.n == 1:
-        return StrictTreeShape((0,))
-    total = dist.total
-    words = [codeword(s, w, total) for s, w in zip(midpoints(dist), dist.weights)]
-    return contract_to_strict(words)
+    span = 2 * dist.total
+    top = span.bit_length()
+    values = []
+    lengths = []
+    for mid, w in zip(midpoints(dist), dist.weights):
+        length = top - w.bit_length()
+        if w << length < span:
+            length += 1
+        values.append((mid << length) // span)
+        lengths.append(length)
+    return _contract(values, lengths)
 
 
 def capped_tree(caps: Sequence[int]) -> StrictTreeShape | None:
@@ -165,12 +189,12 @@ def capped_tree(caps: Sequence[int]) -> StrictTreeShape | None:
         return None
     top = max(caps)
     end = 0
-    words = []
+    values = []
     for cap in caps:
         unit = 1 << (top - cap)
         start = -(-end // unit) * unit
         end = start + unit
         if end > 1 << top:
             return None
-        words.append(Codeword(start >> (top - cap), cap))
-    return contract_to_strict(words)
+        values.append(start >> (top - cap))
+    return _contract(values, caps)

@@ -6,9 +6,12 @@ flag is always 0, so only the first 2n-2 are stored.  This module owns that
 format and walks it once in each direction: a shape's leaf depths are
 turned into flags when the shape is made, which is also what decides that
 the depths describe a strict tree, and decode_tree turns stored bits back
-into depths, rejecting bits that do not describe one.  The leaf depths d_i
-of such a tree satisfy sum 2^{-d_i} = 1 exactly, so the tree itself encodes
-the distribution q_i = 2^{-d_i}.
+into depths, rejecting bits that do not describe one.  decode_tree and
+treebuild's contraction have proved their trees strict by the time they
+finish, so they hand depths and flags together to
+StrictTreeShape._trusted instead of having them walked again.  The leaf
+depths d_i of such a tree satisfy sum 2^{-d_i} = 1 exactly, so the tree
+itself encodes the distribution q_i = 2^{-d_i}.
 """
 
 from __future__ import annotations
@@ -39,6 +42,14 @@ class StrictTreeShape:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flags", _preorder_flags(self.leaf_depths))
+
+    @classmethod
+    def _trusted(cls, depths: tuple[int, ...], flags: int) -> "StrictTreeShape":
+        """Trusted: the leaf depths of a strict tree and its preorder flags."""
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "leaf_depths", depths)
+        object.__setattr__(shape, "flags", flags)
+        return shape
 
     @property
     def n(self) -> int:
@@ -135,10 +146,7 @@ def decode_tree(payload: TreePayload) -> StrictTreeShape:
     if at >= 0:
         raise MalformedPayloadError("bits ran out before the tree closed")
     # the walk has checked the depths; keep its flags rather than walk again
-    shape = object.__new__(StrictTreeShape)
-    object.__setattr__(shape, "leaf_depths", tuple(depths))
-    object.__setattr__(shape, "flags", flags)
-    return shape
+    return StrictTreeShape._trusted(tuple(depths), flags)
 
 
 def implied_distribution(shape: StrictTreeShape) -> DyadicDistribution:

@@ -9,7 +9,7 @@ the integer form of parsed and normalized weights.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdzip.container import container_for
@@ -17,8 +17,9 @@ from pdzip.core import DistributionError, ProbabilityDistribution, parse_distrib
 from pdzip.refine import RefinePayload, compress_refined, refine_step
 from pdzip.sparse import build_query_table, select_heavy
 from pdzip.succinct import SuccinctTreeIndex, build_smoothed, smooth
-from pdzip.treebuild import ZeroProbabilityError, code_tree, codeword, midpoints
-from pdzip.treecode import compress_tree
+from pdzip.treebuild import (ZeroProbabilityError, code_tree, codeword,
+                             contract_to_strict, midpoints)
+from pdzip.treecode import StrictTreeShape, compress_tree
 from naive import (
     fraction_code_tree,
     fraction_codeword,
@@ -243,3 +244,39 @@ def test_code_tree_matches_naive(weights):
     depths = code_tree(p).leaf_depths
     assert depths == naive_code_tree_depths(p)
     assert depths == fraction_code_tree(p).leaf_depths
+
+
+def _split_leaves(picks):
+    """Leaf depths of the strict tree grown by splitting leaf k % n per pick."""
+    depths = [0]
+    for k in picks:
+        k %= len(depths)
+        depths[k:k + 1] = [depths[k] + 1] * 2
+    return depths
+
+
+_code_tree_weights = st.one_of(
+    st.lists(st.integers(1, 2 ** 64), min_size=1, max_size=40),
+    # dyadic weights over a power-of-two total: w * 2^L = 2W exactly
+    st.lists(st.integers(0, 10 ** 6), max_size=40).map(
+        lambda picks: [1 << (40 - d) for d in _split_leaves(picks)]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_code_tree_weights)
+@example([7])
+@example([1, 1])
+@example([3, 1])
+# geometric r = 2 both ways round: deep LCP stacks, long runs of pops
+@example([2 ** i for i in range(1000)])
+@example([2 ** i for i in range(999, -1, -1)])
+def test_code_tree_equals_codeword_contraction(weights):
+    p = ProbabilityDistribution.from_weights(weights)
+    got = code_tree(p)
+    words = [codeword(m, w, p.total) for m, w in zip(midpoints(p), p.weights)]
+    for want in (contract_to_strict(words), fraction_code_tree(p)):
+        assert got.leaf_depths == want.leaf_depths
+        assert got.flags == want.flags
+    # and the flags are what the checking walk makes of these depths
+    assert got.flags == StrictTreeShape(got.leaf_depths).flags

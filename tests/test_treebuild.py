@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pdzip import treebuild
 from pdzip.core import ProbabilityDistribution, max_ratio
 from pdzip.treebuild import (
     Codeword,
@@ -148,6 +149,7 @@ class TestContraction:
             else:
                 got = contract_to_strict([cw(w) for w in chosen])
                 assert got.leaf_depths == want, chosen
+                assert got.flags == StrictTreeShape(want).flags, chosen
 
 
 class TestCodeTree:
@@ -193,6 +195,28 @@ class TestCappedTree:
                 if shape is not None:
                     assert all(d <= c for d, c in
                                zip(shape.leaf_depths, caps))
+
+
+def test_no_codeword_objects(monkeypatch):
+    # code_tree and capped_tree work on plain ints: with Codeword unusable
+    # they still return the same shapes
+    rng = random.Random(41)
+    dists = [dist(1), dist(2, 1, 1)] + [random_distribution(rng, n)
+                                        for n in (2, 50, 300)]
+    # slack over a code tree's depths always fits; (3, 1, 2, 3) never does
+    caps = [(3, 2, 4, 4, 2), (3, 1, 2, 3)] + [
+        tuple(d + rng.randint(0, 2) for d in code_tree(p).leaf_depths)
+        for p in dists]
+
+    def shapes():
+        trees = [code_tree(p) for p in dists] + [capped_tree(c) for c in caps]
+        return [t and (t.leaf_depths, t.flags) for t in trees]
+    want = shapes()
+
+    def refuse(*args):
+        raise AssertionError("Codeword built")
+    monkeypatch.setattr(treebuild, "Codeword", refuse)
+    assert shapes() == want
 
 
 class TestStrictTreeShape:
