@@ -163,8 +163,26 @@ def _read_container(path: str) -> cont.Container:
 
 
 def _decode_values(container: cont.Container):
-    """The stored distribution as a list of Fractions or floats."""
+    """The stored distribution: exact weights for tree and refine, floats
+    for the sparse forms."""
     return container.spec.values(container.open())
+
+
+def _lines(dist, digits: int) -> str:
+    """One formatted line per symbol, in symbol order.
+
+    Decoded values repeat (one per tree depth or refine exponent, one for
+    every light sparse symbol), so each distinct value is formatted once,
+    keyed by its integer weight or its float.
+    """
+    if isinstance(dist, ProbabilityDistribution):
+        keys, total = dist.weights, dist.total
+        text = {w: format_probability(Fraction(w, total), digits) + "\n"
+                for w in set(keys)}
+    else:
+        keys = dist.entries
+        text = {v: format_probability(v, digits) + "\n" for v in set(keys)}
+    return "".join(map(text.__getitem__, keys))
 
 
 # ----------------------------------------------------------------------
@@ -220,8 +238,7 @@ def cmd_decompress(args) -> int:
     container = _read_container(args.input)
     values = _decode_values(container)
     with open(args.output, "w", encoding="utf-8") as fh:
-        for v in values:
-            fh.write(format_probability(v, args.digits) + "\n")
+        fh.write(_lines(values, args.digits))
     print(f"{args.output}: {len(values)} probabilities "
           f"(method={container.method_name})")
     return 0

@@ -47,10 +47,16 @@ class Method:
     `params` names the header fields the method stores, in stored order.
     With those values as *params: payload_bits(n, *params) is the exact
     payload length, payload_type.from_bits(bits, n, *params) and to_bits()
-    convert the payload object, values(payload) lists q_1..q_n, and
+    convert the payload object, values(payload) decodes q_1..q_n, and
     index(payload) builds the method's query index, whose query_prob(i)
     answers q_i alone, or is None when the method stores no query
     structure.
+
+    values returns the decoded distribution object: a
+    ProbabilityDistribution for tree and refine, whose integer weights,
+    and Fraction entries, are built once per distinct depth or exponent
+    and shared by every symbol that has it; a sparse.ApproxDistribution
+    of floats for the sparse forms.
     """
 
     tag: int
@@ -58,7 +64,7 @@ class Method:
     params: tuple[str, ...]
     payload_bits: Callable[..., int]
     payload_type: type
-    values: Callable[[Any], list]
+    values: Callable[[Any], Any]
     index: Optional[Callable[[Any], Any]]
 
 
@@ -68,24 +74,24 @@ METHODS = {m.tag: m for m in (
     Method(tag=METHOD_TREE, name="tree", params=(),
            payload_bits=lambda n: 2 * n - 2,
            payload_type=TreePayload,
-           values=lambda p: list(
-               implied_distribution(decode_tree(p)).probabilities()),
+           values=lambda p: (
+               implied_distribution(decode_tree(p)).to_distribution()),
            index=lambda p: SuccinctTreeIndex.from_payload(p)),
     Method(tag=METHOD_REFINE, name="refine", params=("k",),
            payload_bits=lambda n, k: k * n - 2,
            payload_type=RefinePayload,
-           values=lambda p: list(decompress_refined(p).entries),
+           values=lambda p: decompress_refined(p),
            index=lambda p: RefinedIndex(p)),
     Method(tag=METHOD_SPARSE, name="sparse", params=("c", "t"),
            payload_bits=lambda n, c, t: t * index_width(n),
            payload_type=SparsePayload,
-           values=lambda p: list(decompress_sparse(p).entries),
+           values=lambda p: decompress_sparse(p),
            index=None),
     Method(tag=METHOD_SPARSE_QUERYABLE, name="sparse-queryable",
            params=("c", "t"),
            payload_bits=lambda n, c, t: t * (index_width(n) + rank_width(n, c)),
            payload_type=SparseQueryTable,
-           values=lambda p: list(decompress_sparse(p.sparse_payload()).entries),
+           values=lambda p: decompress_sparse(p.sparse_payload()),
            index=lambda p: p),
 )}
 

@@ -73,6 +73,23 @@ class ProbabilityDistribution:
         return dist
 
     @classmethod
+    def _shared(cls, keys: Sequence[int], weight: dict[int, int],
+                total: int) -> "ProbabilityDistribution":
+        """Trusted: symbol i has weight[keys[i]] over total, the weights in
+        lowest terms and summing to total.
+
+        A decoder's q_i take few distinct values, keyed by the small int
+        it holds (a depth or an exponent), so each distinct value gets one
+        int weight and one Fraction entry, shared by every symbol with
+        that key.
+        """
+        entry = {key: Fraction(w, total) for key, w in weight.items()}
+        dist = object.__new__(cls)
+        dist._init(tuple(map(weight.__getitem__, keys)), total,
+                   tuple(map(entry.__getitem__, keys)))
+        return dist
+
+    @classmethod
     def from_weights(cls, weights: Sequence[Union[int, Fraction, float]]
                      ) -> "ProbabilityDistribution":
         """Normalize non-negative weights by their exact sum.

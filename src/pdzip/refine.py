@@ -16,7 +16,8 @@ leaf depth, so even one q_i needs the whole base tree walked: the query
 object, RefinedIndex, makes that one walk when it is opened, keeps the
 exponents m_i - d_i (shifted to be non-negative) and the normalizer, and
 then answers each q_i in O(1).  decompress_refined reads the same
-exponents.
+exponents; a k-level payload has at most (deepest leaf + k - 1) distinct
+ones, so it builds each value once per distinct exponent, not per symbol.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from .bits import Bits, concat
 from .core import DistributionError, ProbabilityDistribution
 from .treebuild import ZeroProbabilityError, code_tree
-from .treecode import TreePayload, decode_tree, encode_tree, implied_distribution
+from .treecode import TreePayload, decode_tree, encode_tree
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,11 @@ def compress_refined(dist: ProbabilityDistribution, k: int) -> RefinePayload:
         raise ZeroProbabilityError("zero entries cannot be refined; smooth first")
     shape = code_tree(dist)
     base = encode_tree(shape)
-    q = implied_distribution(shape).to_distribution()
+    # the tree's q_i = 2^(top - d_i) / 2^top as weights alone: the levels
+    # read no entries, which a decoded distribution builds
+    top = max(shape.leaf_depths)
+    q = ProbabilityDistribution._exact(
+        [1 << (top - d) for d in shape.leaf_depths], 1 << top)
     levels = []
     for level in range(3, k + 1):
         bits, q = refine_step(dist, q, level)
@@ -176,6 +181,13 @@ class RefinedIndex:
 
 
 def decompress_refined(payload: RefinePayload) -> ProbabilityDistribution:
-    """The stored distribution, from the payload alone: no access to P."""
+    """The stored distribution, from the payload alone: no access to P.
+
+    The weights 2^e_i share the factor 2^low of the smallest exponent,
+    which is taken out of them and of S; each distinct exponent gets one
+    weight and one Fraction entry.
+    """
     exponents, total = refined_exponents(payload)
-    return ProbabilityDistribution._exact([1 << e for e in exponents], total)
+    low = min(exponents)
+    return ProbabilityDistribution._shared(
+        exponents, {e: 1 << (e - low) for e in set(exponents)}, total >> low)

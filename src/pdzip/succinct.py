@@ -18,7 +18,12 @@ Searches run over three levels:
 
 * inside a 16-bit word, tables of each word's excess delta and prefix
   minimum say whether the word holds the answer, and a per-byte table of
-  the first offset where the excess has fallen by d finds it;
+  the first offset where the excess has fallen by d finds it.  The word
+  tables are 64 KiB `bytes` holding the values with a bias, 16 + delta
+  and 1 - minimum (the backward minimum too, so a backward scan reverses
+  only the word that holds its answer).  A scan tracks `need`, its
+  distance above the target: a word holds the answer when its biased
+  minimum exceeds `need`, and otherwise moves `need` by its delta;
 * per block of B symbols (B about log^2 of the sequence length, a
   multiple of 16), the block's entry excess and minimum;
 * a range-min tree of arity 8 over the block minima (Navarro and
@@ -94,23 +99,43 @@ _FIRST_DROP = [walk.index(-need) if -need in walk else 8
 _BYTE_BACK = [int(format(byte ^ 0xFF, "08b")[::-1], 2) for byte in range(256)]
 del _WALKS
 
-_WORD_DELTA: list[int] = []
-_WORD_MIN: list[int] = []
+
+def _word_tables() -> tuple[bytes, bytes, bytes]:
+    """(_RISE, _DROP, _BACK_DROP), each indexed by a 16-bit word.
+
+    _RISE[word] is 16 + the word's excess delta (0..32), _DROP[word] is
+    1 - its minimum excess (0..17), and _BACK_DROP[word] is _DROP of its
+    reversed complement, the word walked backward.  The word hi << 8 | lo
+    has delta dh + dl and minimum min(mh, dh + ml), so every row of the
+    words with one high byte is the low bytes' biased values translated
+    through a table that depends on (dh, mh) alone.  The reversed
+    complement of hi << 8 | lo is _BYTE_BACK[lo] << 8 | _BYTE_BACK[hi]:
+    with the rows of _DROP put in _BYTE_BACK order, row hi of _BACK_DROP
+    is column _BYTE_BACK[hi] of that matrix.
+    """
+    # per-byte values, biased into 0..16 and 0..9, and for each (dh, mh)
+    # the table that turns them into the word's, padded to 256 entries
+    rise_lo = bytes(8 + d for d in _BYTE_DELTA)
+    drop_lo = bytes(1 - m for m in _BYTE_MIN)
+    rise_row = {dh: rise_lo.translate(bytes(range(8 + dh, 25 + dh)) + bytes(239))
+                for dh in set(_BYTE_DELTA)}
+    pairs = list(zip(_BYTE_DELTA, _BYTE_MIN))
+    drop_row = {(dh, mh): drop_lo.translate(
+                    bytes(max(1 - mh, v - dh) for v in range(10)) + bytes(246))
+                for dh, mh in set(pairs)}
+    rise = b"".join(map(rise_row.__getitem__, _BYTE_DELTA))
+    drop = b"".join(map(drop_row.__getitem__, pairs))
+    rows = b"".join(drop[b << 8:(b + 1) << 8] for b in _BYTE_BACK)
+    return rise, drop, b"".join(rows[b::256] for b in _BYTE_BACK)
 
 
-def _ensure_word_tables() -> None:
-    if _WORD_DELTA:
-        return
-    _WORD_DELTA.extend([dh + dl for dh in _BYTE_DELTA for dl in _BYTE_DELTA])
-    _WORD_MIN.extend([mh if mh < dh + ml else dh + ml
-                      for dh, mh in zip(_BYTE_DELTA, _BYTE_MIN)
-                      for ml in _BYTE_MIN])
+_RISE, _DROP, _BACK_DROP = _word_tables()
 
 
 def _first_drop(word: int, need: int) -> int:
     """Offset of the first step after which the word's excess is -need.
 
-    The caller has checked that _WORD_MIN[word] <= -need.
+    The caller has checked that _DROP[word] > need.
     """
     hi = word >> 8
     k = _FIRST_DROP[need << 8 | hi]
@@ -166,7 +191,6 @@ class SuccinctTreeIndex:
         # shape_bits carries all 2n-1 preorder leaf flags
         if len(shape_bits) != 2 * n - 1:
             raise MalformedPayloadError("shape must hold 2n-1 node flags")
-        _ensure_word_tables()
         self._n = n
         m = 2 * n - 1
         self._m = m
@@ -185,12 +209,12 @@ class SuccinctTreeIndex:
         bmin = []
         cur = 0
         for first in range(0, nw, wpb):
-            low = cur + 1
+            low = cur  # one below the lowest excess seen in the block
             for word in words[first:first + wpb]:
-                if cur + _WORD_MIN[word] < low:
-                    low = cur + _WORD_MIN[word]
-                cur += _WORD_DELTA[word]
-            bmin.append(low)
+                if cur - _DROP[word] < low:
+                    low = cur - _DROP[word]
+                cur += _RISE[word] - 16
+            bmin.append(low + 1)
             entry.append(cur)
         self._nb = len(bmin)
         self._blk_entry = entry
@@ -240,7 +264,7 @@ class SuccinctTreeIndex:
         w = b * (self._B >> 4)
         stop = k >> 4
         while w < stop:
-            cur += _WORD_DELTA[words[w]]
+            cur += _RISE[words[w]] - 16
             w += 1
         rem = k & 15
         if rem:
@@ -307,30 +331,33 @@ class SuccinctTreeIndex:
         # the word's steps from start on, topped up with rising 1 steps
         rem = start & 15
         word = ((words[w] << rem) & 0xFFFF) | ((1 << rem) - 1)
-        if _WORD_MIN[word] < 0:
+        if _DROP[word] > 1:
             return start + _first_drop(word, 1)
         wpb = self._B >> 4
         blk = w // wpb
+        # `need` is the excess less the target, at least 1 until the
+        # answer's word; `need + _RISE[word] - 16` adds left to right, so
+        # every intermediate stays a small cached int
         if self._levels[0][blk] <= target:
-            cur = entry + _WORD_DELTA[word] - rem
+            need = 1 + _RISE[word] - (16 + rem)
             stop = min((blk + 1) * wpb, len(words))
             w += 1
             while w < stop:
                 word = words[w]
-                if cur + _WORD_MIN[word] <= target:
-                    return (w << 4) + _first_drop(word, cur - target)
-                cur += _WORD_DELTA[word]
+                if _DROP[word] > need:
+                    return (w << 4) + _first_drop(word, need)
+                need = need + _RISE[word] - 16
                 w += 1
         blk = self._next_block(blk, target)
         if blk < 0:
             return -1
-        cur = self._blk_entry[blk]
+        need = self._blk_entry[blk] - target
         w = blk * wpb
         while True:
             word = words[w]
-            if cur + _WORD_MIN[word] <= target:
-                return (w << 4) + _first_drop(word, cur - target)
-            cur += _WORD_DELTA[word]
+            if _DROP[word] > need:
+                return (w << 4) + _first_drop(word, need)
+            need = need + _RISE[word] - 16
             w += 1
 
     def _bwdsearch(self, start: int, excess: int) -> int:
@@ -338,7 +365,9 @@ class SuccinctTreeIndex:
 
         excess is E(start).  Words are walked backward through their
         reversed complement, whose excess after k steps is
-        E(end - k) - E(end) for the word's last position end.
+        E(end - k) - E(end) for the word's last position end.  Whole
+        words are tested with _BACK_DROP, so only the word that holds the
+        answer is reversed.
         """
         words = self._words
         target = excess - 1
@@ -348,34 +377,36 @@ class SuccinctTreeIndex:
         word = words[w]
         back = ((_BYTE_BACK[word & 0xFF] << 8 | _BYTE_BACK[word >> 8]) << rem
                 & 0xFFFF) | ((1 << rem) - 1)
-        if _WORD_MIN[back] < 0:
+        if _DROP[back] > 1:
             return start - 1 - _first_drop(back, 1)
         wpb = self._B >> 4
         blk = w // wpb
+        # `need` as in _fwdsearch; a word walked backward moves the excess
+        # by minus its delta
         if self._levels[0][blk] <= target:
-            cur = excess + _WORD_DELTA[back] - rem
+            need = 1 + _RISE[back] - (16 + rem)
             stop = blk * wpb
             while w > stop:
                 w -= 1
                 word = words[w]
-                back = _BYTE_BACK[word & 0xFF] << 8 | _BYTE_BACK[word >> 8]
-                if cur + _WORD_MIN[back] <= target:
-                    return (w << 4) + 14 - _first_drop(back, cur - target)
-                cur += _WORD_DELTA[back]
+                if _BACK_DROP[word] > need:
+                    back = _BYTE_BACK[word & 0xFF] << 8 | _BYTE_BACK[word >> 8]
+                    return (w << 4) + 14 - _first_drop(back, need)
+                need = need + 16 - _RISE[word]
         blk = self._prev_block(blk, target)
         if blk < 0:
             return -1
-        cur = self._blk_entry[blk + 1]
+        need = self._blk_entry[blk + 1] - target
         w = (blk + 1) * wpb
-        if cur == target:
+        if not need:
             return (w << 4) - 1
         while True:
             w -= 1
             word = words[w]
-            back = _BYTE_BACK[word & 0xFF] << 8 | _BYTE_BACK[word >> 8]
-            if cur + _WORD_MIN[back] <= target:
-                return (w << 4) + 14 - _first_drop(back, cur - target)
-            cur += _WORD_DELTA[back]
+            if _BACK_DROP[word] > need:
+                back = _BYTE_BACK[word & 0xFF] << 8 | _BYTE_BACK[word >> 8]
+                return (w << 4) + 14 - _first_drop(back, need)
+            need = need + 16 - _RISE[word]
 
     def _check_handle(self, v: int) -> None:
         if not 0 <= v < self._m:

@@ -11,7 +11,9 @@ treebuild's contraction have proved their trees strict by the time they
 finish, so they hand depths and flags together to
 StrictTreeShape._trusted instead of having them walked again.  The leaf
 depths d_i of such a tree satisfy sum 2^{-d_i} = 1 exactly, so the tree
-itself encodes the distribution q_i = 2^{-d_i}.
+itself encodes the distribution q_i = 2^{-d_i}.  That distribution takes
+one value per distinct depth, and DyadicDistribution builds each value
+once per depth, not once per leaf.
 """
 
 from __future__ import annotations
@@ -104,13 +106,18 @@ class DyadicDistribution:
     depth_exponents: tuple[int, ...]
 
     def probabilities(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1, 1 << d) for d in self.depth_exponents)
+        return self.to_distribution().entries
 
     def to_distribution(self) -> ProbabilityDistribution:
-        """Weights 2^(top - d_i) over 2^top, top the deepest leaf's depth."""
-        top = max(self.depth_exponents)
-        return ProbabilityDistribution._exact(
-            [1 << (top - d) for d in self.depth_exponents], 1 << top)
+        """Weights 2^(top - d_i) over 2^top, top the deepest leaf's depth.
+
+        The weight and the Fraction entry are built once per distinct
+        depth and shared by every leaf at that depth.
+        """
+        depths = self.depth_exponents
+        top = max(depths)
+        return ProbabilityDistribution._shared(
+            depths, {d: 1 << (top - d) for d in set(depths)}, 1 << top)
 
 
 def encode_tree(shape: StrictTreeShape) -> TreePayload:

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,9 @@ from pdzip.cli import (
     format_significant,
     main,
 )
-from pdzip.refine import decompress_refined
+from pdzip.refine import RefinePayload, decompress_refined
+from pdzip.sparse import decompress_sparse
+from naive import fraction_decompress_refined
 
 
 def write_dist(path, lines):
@@ -177,6 +180,85 @@ class TestDecompress:
         run(capsys, "compress", "--method", "refine", "--k", "3", mid, box2)
         assert (tmp_path / "a.pdz").read_bytes() == \
             (tmp_path / "b.pdz").read_bytes()
+
+
+def _counts(seed, zeros):
+    rng = random.Random(seed)
+    weights = [rng.randint(900, 1100) for _ in range(1000)]
+    if zeros:
+        for j in rng.sample(range(1000), 500):
+            weights[j] = 0
+    return weights
+
+
+# name -> (weights, tree and refine flags); geometric r = 2 gives every
+# symbol its own value, near-uniform counts a handful in all
+DECOMPRESS_INPUTS = {
+    "geometric-up": ([2 ** i for i in range(300)], []),
+    "geometric-down": ([2 ** i for i in range(299, -1, -1)], []),
+    "near-uniform": (_counts(11, False), []),
+    "zero-bins": (_counts(12, True), ["--epsilon", "1/10"]),
+}
+DECOMPRESS_METHODS = [["tree"], ["refine", "--k", "2"], ["refine", "--k", "5"],
+                      ["sparse"], ["sparse-queryable"]]
+
+
+def _per_symbol_values(container):
+    """q_1..q_n one symbol at a time: the reference replay for tree and
+    refine (a tree is a refine payload without levels), floats for the
+    sparse forms."""
+    payload = container.open()
+    if container.method == cont.METHOD_TREE:
+        return list(fraction_decompress_refined(RefinePayload(2, payload, ())))
+    if container.method == cont.METHOD_REFINE:
+        return list(fraction_decompress_refined(payload))
+    if container.method == cont.METHOD_SPARSE_QUERYABLE:
+        payload = payload.sparse_payload()
+    return list(decompress_sparse(payload).entries)
+
+
+class TestDecompressPerValue:
+    @pytest.fixture(params=[(name, method) for name in DECOMPRESS_INPUTS
+                            for method in DECOMPRESS_METHODS],
+                    ids=lambda case: f"{case[0]}-{'-'.join(case[1])}")
+    def stored(self, request, tmp_path, capsys):
+        """(container path, its container, per-symbol values)."""
+        name, method = request.param
+        weights, flags = DECOMPRESS_INPUTS[name]
+        if method[0] not in ("tree", "refine"):
+            flags = []
+        src = write_dist(tmp_path / "p.txt", weights)
+        box = str(tmp_path / "p.pdz")
+        argv = ["compress", "--method", *method, *flags, src, box]
+        assert run(capsys, *argv)[0] == 0
+        with open(box, "rb") as fh:
+            container = cont.unpack(fh.read())
+        return box, container, _per_symbol_values(container)
+
+    @pytest.mark.parametrize("digits", [17, 5])
+    def test_text_is_each_value_formatted(self, stored, digits, tmp_path, capsys):
+        box, container, values = stored
+        out = tmp_path / "q.txt"
+        code, stdout, _ = run(capsys, "decompress", "--digits", str(digits),
+                              box, str(out))
+        assert code == 0
+        assert stdout == (f"{out}: {len(values)} probabilities "
+                          f"(method={container.method_name})\n")
+        assert out.read_text() == "".join(
+            format_probability(v, digits) + "\n" for v in values)
+
+    def test_formats_each_distinct_value_once(self, stored, tmp_path, capsys,
+                                              monkeypatch):
+        box, _, values = stored
+        calls = []
+
+        def counting(value, digits):
+            calls.append(value)
+            return format_probability(value, digits)
+
+        monkeypatch.setattr(cli, "format_probability", counting)
+        assert run(capsys, "decompress", box, str(tmp_path / "q.txt"))[0] == 0
+        assert len(calls) <= len(set(values))
 
 
 class TestQuery:

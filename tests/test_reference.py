@@ -117,7 +117,7 @@ def test_index_equals_decode(main_corpus, zero_corpus, method, param):
         values = spec.values(payload)
         kind = float if method == "sparse-queryable" else Fraction
         assert all(type(v) is kind for v in values)
-        assert [index.query_prob(i) for i in range(1, p.n + 1)] == values
+        assert [index.query_prob(i) for i in range(1, p.n + 1)] == list(values)
         if method == "refine":
             assert tuple(values) == fraction_decompress_refined(payload)
 

@@ -526,10 +526,11 @@ class TestSpaceAccounting:
 
 class TestWordTables:
     def test_match_bitwise_walk(self):
-        # every 16-bit word against a step-by-step walk: excess delta,
-        # prefix minimum, the first offset of each drop it reaches, and
-        # the reversed complement that walks it backward
-        succinct._ensure_word_tables()
+        # every 16-bit word against a step-by-step walk: excess delta and
+        # prefix minimum (biased: 16 + delta, 1 - minimum), the first
+        # offset of each drop it reaches, the reversed complement that
+        # walks it backward, and that walk's biased minimum
+        lows = []
         for word in range(1 << 16):
             e = 0
             low = 17
@@ -539,13 +540,18 @@ class TestWordTables:
                 low = min(low, e)
                 if e < 0:
                     drops.setdefault(-e, k)
-            assert succinct._WORD_DELTA[word] == e
-            assert succinct._WORD_MIN[word] == low
+            lows.append(low)
+            assert succinct._RISE[word] == 16 + e
+            assert succinct._DROP[word] == 1 - low
             for need, k in drops.items():
                 assert succinct._first_drop(word, need) == k
+        for word in range(1 << 16):
             back = int(format(word ^ 0xFFFF, "016b")[::-1], 2)
             assert (succinct._BYTE_BACK[word & 0xFF] << 8
                     | succinct._BYTE_BACK[word >> 8]) == back
+            assert succinct._BACK_DROP[word] == 1 - lows[back]
+        tables = (succinct._RISE, succinct._DROP, succinct._BACK_DROP)
+        assert all(type(t) is bytes and len(t) == 1 << 16 for t in tables)
 
     def test_climb_table(self):
         # the climb over the 8 flags before a node: each step goes back to

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from pdzip.bits import Bits
 from pdzip.core import ProbabilityDistribution
-from pdzip.refine import RefinedIndex, RefinePayload, refined_exponents
+from pdzip.refine import (RefinedIndex, RefinePayload, decompress_refined,
+                          refined_exponents)
 from pdzip.treebuild import StrictTreeShape, code_tree
 from pdzip.treecode import (
     DyadicDistribution,
@@ -19,7 +21,7 @@ from pdzip.treecode import (
     implied_distribution,
 )
 from conftest import random_distribution, random_tree_depths
-from naive import LinkedTree
+from naive import LinkedTree, fraction_decompress_refined
 
 
 class TestEncode:
@@ -114,6 +116,35 @@ def test_walk_matches_linked_tree(stored, level_ints):
     assert exponents == [max(depths) - d + m for d, m in zip(depths, marks)]
     assert total == sum(1 << e for e in exponents)
     assert RefinedIndex(refine).query_prob(n) == Fraction(1 << exponents[-1], total)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_stored, st.lists(st.integers(0, (1 << 64) - 1), max_size=3))
+def test_decoded_values_are_shared(stored, level_ints):
+    # a decoded tree or refine distribution holds its weights in lowest
+    # terms over their sum, its entries are those weights over the total
+    # and equal the per-symbol replay, and each distinct value is one
+    # object shared by every symbol that has it
+    n, value = stored
+    base = TreePayload(Bits.from_int(value, 2 * n - 2), n)
+    try:
+        depths = decode_tree(base).leaf_depths
+    except MalformedPayloadError:
+        return
+    levels = tuple(Bits.from_int(v >> (64 - n), n) for v in level_ints)
+    refine = RefinePayload(len(levels) + 2, base, levels)
+    tree = DyadicDistribution(depths)
+    dyadic = [Fraction(1, 1 << d) for d in depths]
+    assert list(tree.probabilities()) == dyadic
+    for dist, want in ((tree.to_distribution(), dyadic),
+                       (decompress_refined(refine),
+                        list(fraction_decompress_refined(refine)))):
+        weights, entries = dist.weights, dist.entries
+        assert sum(weights) == dist.total and math.gcd(*weights) == 1
+        assert entries == tuple(Fraction(w, dist.total) for w in weights)
+        assert list(entries) == want
+        assert len({id(q) for q in entries}) == len(set(entries))
+        assert len({id(w) for w in weights}) == len(set(weights))
 
 
 class TestDyadic:
