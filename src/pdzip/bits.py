@@ -10,11 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-# bit tuples for every byte value, used to iterate quickly
-_BYTE_BITS = tuple(
-    tuple((byte >> (7 - i)) & 1 for i in range(8)) for byte in range(256)
-)
-
 
 class Bits:
     """An immutable sequence of 0/1 values."""
@@ -87,12 +82,7 @@ class Bits:
         return (self._data[i >> 3] >> (7 - (i & 7))) & 1
 
     def __iter__(self) -> Iterator[int]:
-        full, rem = divmod(self._nbits, 8)
-        data = self._data
-        for k in range(full):
-            yield from _BYTE_BITS[data[k]]
-        if rem:
-            yield from _BYTE_BITS[data[full]][:rem]
+        return map(int, self.to01())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bits):
@@ -118,7 +108,9 @@ class Bits:
     # conversions
 
     def to01(self) -> str:
-        return "".join("01"[b] for b in self)
+        if self._nbits == 0:
+            return ""
+        return format(self.as_int(), f"0{self._nbits}b")
 
     def as_int(self) -> int:
         """The bits read as a big-endian integer (0 for the empty sequence)."""

@@ -7,6 +7,14 @@ for callers that want them.  The only values carried in floating point
 are logarithmic measures (entropy, divergence) and the irrational
 per-symbol values produced by the sparse codec.  All logarithms are
 base 2 and results are in bits.
+
+The measures make one pass over their arguments and build no
+per-symbol list.  Given distributions, they read the integer weights:
+D(P||Q) keeps each term exact and in symbol order, with W*u made once
+per distinct q weight u, and the max ratio keeps the largest p weight
+per distinct u, so it compares one candidate per class.  A sequence
+(Fractions, floats or ints) is read entry by entry as exact
+(numerator, denominator) pairs.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence, Union
 
 
@@ -204,18 +213,21 @@ def parse_distribution(text: str) -> ProbabilityDistribution:
 DistributionLike = "ProbabilityDistribution | Sequence[Fraction | float | int]"
 
 
-def _fractions(dist: DistributionLike) -> tuple[list[tuple[int, int]], bool]:
-    """Each entry as an exact (numerator, denominator) pair, and whether
-    any entry was a float (whose binary value is then taken exactly).
+def _ratios(dist: DistributionLike):
+    """Each entry as an exact (numerator, denominator) pair, streamed.
 
     A ProbabilityDistribution gives its integer weights over its total,
-    so the measures never build its Fraction entries.
+    so the measures never build its Fraction entries; a float entry is
+    taken at its exact binary value.
     """
     if isinstance(dist, ProbabilityDistribution):
-        total = dist.total
-        return [(w, total) for w in dist.weights], False
-    return ([x.as_integer_ratio() for x in dist],
-            any(isinstance(x, float) for x in dist))
+        return zip(dist.weights, repeat(dist.total))
+    return (x.as_integer_ratio() for x in dist)
+
+
+def _same_length(p_dist: DistributionLike, q_dist: DistributionLike) -> None:
+    if len(p_dist) != len(q_dist):
+        raise DistributionError("distributions have different lengths")
 
 
 _LN2 = math.log(2)
@@ -238,15 +250,10 @@ def _log2_ratio(num: int, den: int) -> float:
     return math.log1p((num - den) / den) / _LN2
 
 
-def log2_fraction(x: Fraction) -> float:
-    """log2 of a positive rational, stable for huge numerators/denominators."""
-    return _log2_ratio(x.numerator, x.denominator)
-
-
 def entropy(dist: DistributionLike) -> float:
     """H(P) = sum p_i log2(1/p_i) in bits, with 0 log 0 = 0."""
     total = 0.0
-    for num, den in _fractions(dist)[0]:
+    for num, den in _ratios(dist):
         if num:
             pf = num / den
             # a value too small for float has an entropy term that
@@ -256,22 +263,29 @@ def entropy(dist: DistributionLike) -> float:
     return total
 
 
-def _paired(p_dist: DistributionLike, q_dist: DistributionLike):
-    """The entries of both sides, paired, and whether either had a float."""
-    ps, p_float = _fractions(p_dist)
-    qs, q_float = _fractions(q_dist)
-    if len(ps) != len(qs):
-        raise DistributionError("distributions have different lengths")
-    return zip(ps, qs), p_float or q_float
-
-
 def relative_entropy(p_dist: DistributionLike, q_dist: DistributionLike) -> float:
     """D(P||Q) = sum p_i log2(p_i/q_i) in bits, with 0 log 0 = 0.
 
     Raises InfiniteDivergenceError when some q_i = 0 has p_i > 0.
     """
+    _same_length(p_dist, q_dist)
     total = 0.0
-    for (pn, pd), (qn, qd) in _paired(p_dist, q_dist)[0]:
+    if (isinstance(p_dist, ProbabilityDistribution)
+            and isinstance(q_dist, ProbabilityDistribution)):
+        # p_i/q_i = (w U)/(W u), and a decoded Q has few distinct u, so
+        # W u is made once per distinct u
+        p_total, q_total = p_dist.total, q_dist.total
+        scaled = {u: p_total * u for u in set(q_dist.weights)}
+        for w, wu in zip(p_dist.weights, map(scaled.__getitem__, q_dist.weights)):
+            if not w:
+                continue
+            if not wu:
+                raise InfiniteDivergenceError("q_i = 0 with p_i > 0")
+            pf = w / p_total
+            if pf:
+                total += pf * _log2_ratio(w * q_total, wu)
+        return total
+    for (pn, pd), (qn, qd) in zip(_ratios(p_dist), _ratios(q_dist)):
         if not pn:
             continue
         if not qn:
@@ -285,29 +299,41 @@ def relative_entropy(p_dist: DistributionLike, q_dist: DistributionLike) -> floa
 def max_ratio(p_dist: DistributionLike, q_dist: DistributionLike):
     """max over {i : p_i > 0} of p_i/q_i.
 
-    Exact (a Fraction) when both sides are rational; a float when the
-    approximation side carries floats.  Raises InfiniteDivergenceError
-    when some q_i = 0 has p_i > 0.
+    Exact (a Fraction) when both sides are rational; a float when either
+    side carries floats.  Raises InfiniteDivergenceError when some
+    q_i = 0 has p_i > 0.
     """
-    pairs, floats = _paired(p_dist, q_dist)
-    pairs = [(p, q) for p, q in pairs if p[0]]
-    if not pairs:
-        raise DistributionError("no positive entries")
-    if any(not qn for _, (qn, _) in pairs):
-        raise InfiniteDivergenceError("q_i = 0 with p_i > 0")
-    # p_i/q_i = (pn qd)/(pd qn); a denominator every p_i shares (a
-    # distribution's total) is left out of the comparisons
-    shared = pairs[0][0][1]
-    if all(pd == shared for (_, pd), _ in pairs):
-        ratios = [(pn * qd, qn) for (pn, _), (qn, qd) in pairs]
+    _same_length(p_dist, q_dist)
+    # each p_i/q_i with p_i > 0 as a (num, den) pair; the total that a
+    # distribution's p_i share is left out of the pairs and comparisons
+    if isinstance(p_dist, ProbabilityDistribution):
+        shared = p_dist.total
+        if isinstance(q_dist, ProbabilityDistribution):
+            # among the symbols of one q weight u, the largest w wins
+            most = {}
+            for w, u in zip(p_dist.weights, q_dist.weights):
+                if w > most.get(u, 0):
+                    most[u] = w
+            q_total = q_dist.total
+            ratios = ((w * q_total, u) for u, w in most.items())
+        else:
+            ratios = ((w * qd, qn) for w, (qn, qd)
+                      in zip(p_dist.weights, _ratios(q_dist)) if w)
     else:
         shared = 1
-        ratios = [(pn * qd, pd * qn) for (pn, pd), (qn, qd) in pairs]
-    best_num, best_den = ratios[0]
+        ratios = ((pn * qd, pd * qn) for (pn, pd), (qn, qd)
+                  in zip(_ratios(p_dist), _ratios(q_dist)) if pn)
+    best_num = best_den = None
     for num, den in ratios:
-        if num * best_den > best_num * den:
+        if not den:
+            raise InfiniteDivergenceError("q_i = 0 with p_i > 0")
+        if best_num is None or num * best_den > best_num * den:
             best_num, best_den = num, den
+    if best_num is None:
+        raise DistributionError("no positive entries")
     best = Fraction(best_num, best_den * shared)
+    floats = any(isinstance(x, float) for dist in (p_dist, q_dist)
+                 if not isinstance(dist, ProbabilityDistribution) for x in dist)
     return float(best) if floats else best
 
 

@@ -91,7 +91,7 @@ def refine_step(dist: ProbabilityDistribution,
     s = 1 << (k - 3)
     p_scale = q_prev.total * s
     q_scale = (s + 1) * dist.total
-    marks = []
+    marks = bytearray()  # ASCII digits, read at the end as one numeral
     weights = []
     for w, u in zip(dist.weights, q_prev.weights):
         if u <= 0:
@@ -102,12 +102,12 @@ def refine_step(dist: ProbabilityDistribution,
             raise DistributionError(
                 f"ratio precondition violated at level {k}")
         if lhs >= rhs:
-            marks.append(1)
+            marks += b"1"
             weights.append(2 * u)
         else:
-            marks.append(0)
+            marks += b"0"
             weights.append(u)
-    return (Bits.from_iterable(marks),
+    return (Bits.from_int(int(marks, 2), len(marks)),
             ProbabilityDistribution._exact(weights, sum(weights)))
 
 

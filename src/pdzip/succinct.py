@@ -92,11 +92,11 @@ _BYTE_DELTA = [walk[7] for walk in _WALKS]
 _BYTE_MIN = [min(walk) for walk in _WALKS]
 # _FIRST_DROP[need << 8 | byte]: offset of the first step after which the
 # byte's excess is -need, or 8 if there is none (need up to 16, a word's)
-_FIRST_DROP = [walk.index(-need) if -need in walk else 8
-               for need in range(17) for walk in _WALKS]
+_FIRST_DROP = bytes(walk.index(-need) if -need in walk else 8
+                    for need in range(17) for walk in _WALKS)
 # a byte's bits reversed and complemented: walking it forward retraces the
 # original byte's excess backward
-_BYTE_BACK = [int(format(byte ^ 0xFF, "08b")[::-1], 2) for byte in range(256)]
+_BYTE_BACK = bytes(int(format(byte ^ 0xFF, "08b")[::-1], 2) for byte in range(256))
 del _WALKS
 
 

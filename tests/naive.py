@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from pdzip.bits import Bits
-from pdzip.core import DistributionError, ProbabilityDistribution, ceil_log2_ratio
+from pdzip.core import (DistributionError, ProbabilityDistribution, _log2_ratio,
+                        ceil_log2_ratio)
 from pdzip.refine import RefinePayload
 from pdzip.sparse import SparsePayload
 from pdzip.treebuild import Codeword, capped_tree, contract_to_strict
@@ -245,6 +246,12 @@ def naive_divergence(ps: Sequence, qs: Sequence) -> float:
         if p > 0.0:
             total += p * math.log2(p / float(q))
     return total
+
+
+def log2_fraction(x: Fraction) -> float:
+    """log2 of a positive rational through the package's per-term helper,
+    stable for huge numerators and denominators."""
+    return _log2_ratio(x.numerator, x.denominator)
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,26 @@
 import math
 import random
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pdzip.core import (
     DistributionError,
     InfiniteDivergenceError,
     ProbabilityDistribution,
+    _log2_ratio,
     ceil_log2_ratio,
     entropy,
-    log2_fraction,
     max_ratio,
     parse_distribution,
     relative_entropy,
 )
+
+from naive import log2_fraction
 
 # High-precision reference values, computed once with an arbitrary
 # precision library and frozen here.
@@ -221,6 +226,83 @@ class TestMaxRatio:
         q = ApproxDistribution((0.25, 0.75))
         r = max_ratio(dist(1, 1), q)
         assert r == pytest.approx(2.0)
+
+
+# weights with repeats, zeros and bigints; q drawn from few values, as a
+# decoded distribution is, and now and then one entry longer than p
+_WEIGHT = st.one_of(st.integers(0, 3), st.integers(0, 10 ** 6),
+                    st.integers(0, 1 << 80))
+
+
+@st.composite
+def _weight_pairs(draw):
+    n = draw(st.integers(1, 25))
+    pw = draw(st.lists(_WEIGHT, min_size=n, max_size=n).filter(any))
+    values = draw(st.lists(_WEIGHT, min_size=1, max_size=4).filter(any))
+    m = draw(st.sampled_from((n, n, n, n + 1)))
+    qw = draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)
+              .filter(any))
+    return pw, qw
+
+
+def _outcome(measure, *args):
+    """(result type, value), or (exception type, None)."""
+    try:
+        value = measure(*args)
+    except (DistributionError, InfiniteDivergenceError) as exc:
+        return type(exc), None
+    return type(value), value
+
+
+def _pairwise_divergence(p, q):
+    """D(P||Q) as the sum of (w/W) log2(wU/(Wu)) in symbol order, with no
+    grouping by u: the per-term arithmetic the measure keeps."""
+    total = 0.0
+    for w, u in zip(p.weights, q.weights):
+        if w:
+            total += w / p.total * _log2_ratio(w * q.total, p.total * u)
+    return total
+
+
+class TestMeasuresOnWeights:
+    @given(_weight_pairs())
+    def test_weights_and_fraction_entries_agree(self, pair):
+        # a distribution pair takes the integer-weight paths, its entries
+        # the per-entry (num, den) arithmetic.  Entries are in lowest
+        # terms, which can move a term's last bit, so floats agree to
+        # rounding and ratios and errors exactly
+        p = ProbabilityDistribution.from_weights(pair[0])
+        q = ProbabilityDistribution.from_weights(pair[1])
+        assert entropy(p) == pytest.approx(entropy(p.entries), rel=1e-12)
+        for measure in (relative_entropy, max_ratio):
+            kind, value = _outcome(measure, p, q)
+            for args in ((p.entries, q.entries), (p, q.entries)):
+                other_kind, other = _outcome(measure, *args)
+                assert other_kind is kind
+                if kind is float:
+                    assert other == pytest.approx(value, rel=1e-12, abs=1e-12)
+                else:
+                    assert other == value
+        kind, value = _outcome(relative_entropy, p, q)
+        if kind is float:
+            assert value == _pairwise_divergence(p, q)
+
+    def test_measures_keep_no_per_symbol_lists(self):
+        rng = random.Random(23)
+        n = 10 ** 5
+        p = ProbabilityDistribution.from_weights(
+            [rng.randint(0, 10 ** 6) for _ in range(n)])
+        q = ProbabilityDistribution.from_weights(
+            [1 << rng.randint(0, 6) for _ in range(n)])
+        tracemalloc.start()
+        try:
+            entropy(p)
+            relative_entropy(p, q)
+            max_ratio(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLogHelpers:

@@ -8,7 +8,6 @@ from pdzip.bits import Bits
 from pdzip.core import (
     DistributionError,
     ProbabilityDistribution,
-    log2_fraction,
     max_ratio,
     relative_entropy,
 )
@@ -24,7 +23,7 @@ from pdzip.treebuild import ZeroProbabilityError
 from pdzip.treecode import (StrictTreeShape, TreePayload, decode_tree,
                             encode_tree, implied_distribution)
 from conftest import random_distribution
-from naive import fraction_decompress_refined
+from naive import fraction_decompress_refined, log2_fraction
 
 
 def dist(*weights):
