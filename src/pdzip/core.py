@@ -9,12 +9,12 @@ per-symbol values produced by the sparse codec.  All logarithms are
 base 2 and results are in bits.
 
 The measures make one pass over their arguments and build no
-per-symbol list.  Given distributions, they read the integer weights:
-D(P||Q) keeps each term exact and in symbol order, with W*u made once
-per distinct q weight u, and the max ratio keeps the largest p weight
-per distinct u, so it compares one candidate per class.  A sequence
-(Fractions, floats or ints) is read entry by entry as exact
-(numerator, denominator) pairs.
+per-symbol list.  A distribution is read as its integer weights over
+its total and a sequence (Fractions, floats or ints) entry by entry,
+both as exact (numerator, denominator) pairs, and D(P||Q) sums one
+term per symbol, in symbol order.  Given two distributions, the
+max ratio keeps the largest p weight per distinct q weight, so it
+compares one candidate per class.
 """
 
 from __future__ import annotations
@@ -270,21 +270,6 @@ def relative_entropy(p_dist: DistributionLike, q_dist: DistributionLike) -> floa
     """
     _same_length(p_dist, q_dist)
     total = 0.0
-    if (isinstance(p_dist, ProbabilityDistribution)
-            and isinstance(q_dist, ProbabilityDistribution)):
-        # p_i/q_i = (w U)/(W u), and a decoded Q has few distinct u, so
-        # W u is made once per distinct u
-        p_total, q_total = p_dist.total, q_dist.total
-        scaled = {u: p_total * u for u in set(q_dist.weights)}
-        for w, wu in zip(p_dist.weights, map(scaled.__getitem__, q_dist.weights)):
-            if not w:
-                continue
-            if not wu:
-                raise InfiniteDivergenceError("q_i = 0 with p_i > 0")
-            pf = w / p_total
-            if pf:
-                total += pf * _log2_ratio(w * q_total, wu)
-        return total
     for (pn, pd), (qn, qd) in zip(_ratios(p_dist), _ratios(q_dist)):
         if not pn:
             continue

@@ -255,8 +255,8 @@ def _outcome(measure, *args):
 
 
 def _pairwise_divergence(p, q):
-    """D(P||Q) as the sum of (w/W) log2(wU/(Wu)) in symbol order, with no
-    grouping by u: the per-term arithmetic the measure keeps."""
+    """D(P||Q) as the sum of (w/W) log2(wU/(Wu)) in symbol order: the
+    exact per-term arithmetic the measure keeps."""
     total = 0.0
     for w, u in zip(p.weights, q.weights):
         if w:
