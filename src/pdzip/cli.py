@@ -2,6 +2,10 @@
 
 Input distributions are text files with one weight per line (blank lines
 and '#' comments ignored); weights are normalized by their exact sum.
+Every command but `compress` reads what differs between methods from
+the method's record in container.METHODS; `compress` alone branches on
+the method, for its options.
+
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable file, bad
 container, zero probabilities without --epsilon, index out of range).
 """
@@ -10,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -31,9 +34,6 @@ from .sparse import build_query_table, compress_sparse
 from .succinct import smooth
 from .treebuild import ZeroProbabilityError
 from .treecode import compress_tree
-
-_LOG2_PI2_3 = 1.7180297582234814  # log2(pi^2 / 3), the sparse-method constant
-
 
 class UsageError(Exception):
     """Command-line arguments that parse but do not make sense together."""
@@ -268,32 +268,20 @@ def cmd_stats(args) -> int:
     h = entropy(original)
     d = relative_entropy(original, values)
     ratio = max_ratio(original, values)
+    spec = container.spec
+    d_bound, ratio_bound = spec.bounds(h, *container.params)
+    formula = spec.formula.format(**dict(zip(spec.params, container.params)))
+    bits = len(container.payload)
     lines = [
-        f"method: {container.method_name}",
+        f"method: {spec.name}",
         f"n: {container.n}",
         f"entropy_P: {h:.12g} bits",
+        f"divergence: {d:.12g} bits (bound: {d_bound})",
+        f"max_ratio: {float(ratio):.12g}"
+        + ("" if ratio_bound is None else f" (bound: {ratio_bound})"),
+        f"payload_bits: {bits} ({formula} = {bits})",
+        f"container_bytes: {len(container.pack())}",
     ]
-    n = container.n
-    if container.method == cont.METHOD_TREE:
-        lines.append(f"divergence: {d:.12g} bits (bound: < 2)")
-        lines.append(f"max_ratio: {float(ratio):.12g} (bound: < 4)")
-        formula = f"2n-2 = {2 * n - 2}"
-    elif container.method == cont.METHOD_REFINE:
-        k = container.k
-        r = 2 + 2 ** (3 - k)
-        lines.append(f"divergence: {d:.12g} bits (bound: < {math.log2(r):.6g})")
-        lines.append(f"max_ratio: {float(ratio):.12g} (bound: < {float(r):.6g})")
-        formula = f"kn-2 = {k * n - 2}"
-    else:
-        bound = float(container.c) * h + _LOG2_PI2_3
-        lines.append(f"divergence: {d:.12g} bits "
-                     f"(bound: <= c*H(P) + log2(pi^2/3) = {bound:.6g})")
-        lines.append(f"max_ratio: {float(ratio):.12g}")
-        per = cont.expected_payload_bits(container.method, n,
-                                         c=container.c, t=container.t)
-        formula = f"t={container.t} entries = {per}"
-    lines.append(f"payload_bits: {len(container.payload)} ({formula})")
-    lines.append(f"container_bytes: {len(container.pack())}")
     print("\n".join(lines))
     return 0
 

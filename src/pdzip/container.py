@@ -9,23 +9,26 @@ size mismatch is reported as corruption.  Header bytes are deliberately
 excluded from the size guarantees the codecs make about their payloads.
 
 Each method is one record in METHODS: its header fields, payload length
-formula, payload class, decoder and query index.  The container and the
-CLI read every per-method decision from that record.  A query index is
-built once from an opened payload and then answers query_prob(i) for any
-i: the succinct tree index, the refine exponent table (one tree walk at
-open, O(1) per query), or the sparse-queryable table itself.
+formula and its printed name, payload class, decoder, query index and
+promised bounds on D(P||Q) and max p_i/q_i.  The container and the CLI
+read every per-method decision from that record; only `compress` keeps
+its own option handling per method.  A query index is built once from an
+opened payload and then answers query_prob(i) for any i: the succinct
+tree index, the refine exponent table (one tree walk at open, O(1) per
+query), or the sparse-queryable table itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .bits import Bits
 from .refine import RefinePayload, RefinedIndex, decompress_refined
-from .sparse import (SparsePayload, SparseQueryTable, decompress_sparse,
-                     index_width, rank_width)
+from .sparse import (LOG2_PI2_3, SparsePayload, SparseQueryTable,
+                     decompress_sparse, index_width, rank_width)
 from .succinct import SuccinctTreeIndex
 from .treecode import TreePayload, decode_tree, implied_distribution
 
@@ -52,6 +55,11 @@ class Method:
     answers q_i alone, or is None when the method stores no query
     structure.
 
+    `formula` names the payload length for people, with the header fields
+    as format fields ("t={t} entries").  bounds(h, *params), h = H(P) in
+    bits, gives the promised bounds as text: on D(P||Q), and on
+    max_i p_i/q_i or None where the method promises none.
+
     values returns the decoded distribution object: a
     ProbabilityDistribution for tree and refine, whose integer weights,
     and Fraction entries, are built once per distinct depth or exponent
@@ -63,36 +71,54 @@ class Method:
     name: str
     params: tuple[str, ...]
     payload_bits: Callable[..., int]
+    formula: str
     payload_type: type
     values: Callable[[Any], Any]
     index: Optional[Callable[[Any], Any]]
+    bounds: Callable[..., tuple[str, Optional[str]]]
+
+
+def _refined_bounds(k: int) -> tuple[str, str]:
+    # D(P||Q) < log2 r and max p_i/q_i < r at r = 2 + 2^{3-k}; the bare
+    # tree is k = 2, where r = 4
+    r = 2 + 2 ** (3 - k)
+    return f"< {math.log2(r):.6g}", f"< {float(r):.6g}"
+
+
+def _sparse_bounds(h: float, c: Fraction, t: int) -> tuple[str, None]:
+    bound = float(c) * h + LOG2_PI2_3
+    return f"<= c*H(P) + log2(pi^2/3) = {bound:.6g}", None
 
 
 # the lambdas look module functions up when called, so a wrapper installed
 # on a module name (a tracer, a test double) also sees calls made here
 METHODS = {m.tag: m for m in (
     Method(tag=METHOD_TREE, name="tree", params=(),
-           payload_bits=lambda n: 2 * n - 2,
+           payload_bits=lambda n: 2 * n - 2, formula="2n-2",
            payload_type=TreePayload,
            values=lambda p: (
                implied_distribution(decode_tree(p)).to_distribution()),
-           index=lambda p: SuccinctTreeIndex.from_payload(p)),
+           index=lambda p: SuccinctTreeIndex.from_payload(p),
+           bounds=lambda h: _refined_bounds(2)),
     Method(tag=METHOD_REFINE, name="refine", params=("k",),
-           payload_bits=lambda n, k: k * n - 2,
+           payload_bits=lambda n, k: k * n - 2, formula="kn-2",
            payload_type=RefinePayload,
            values=lambda p: decompress_refined(p),
-           index=lambda p: RefinedIndex(p)),
+           index=lambda p: RefinedIndex(p),
+           bounds=lambda h, k: _refined_bounds(k)),
     Method(tag=METHOD_SPARSE, name="sparse", params=("c", "t"),
            payload_bits=lambda n, c, t: t * index_width(n),
+           formula="t={t} entries",
            payload_type=SparsePayload,
            values=lambda p: decompress_sparse(p),
-           index=None),
+           index=None, bounds=_sparse_bounds),
     Method(tag=METHOD_SPARSE_QUERYABLE, name="sparse-queryable",
            params=("c", "t"),
            payload_bits=lambda n, c, t: t * (index_width(n) + rank_width(n, c)),
+           formula="t={t} entries",
            payload_type=SparseQueryTable,
            values=lambda p: decompress_sparse(p.sparse_payload()),
-           index=lambda p: p),
+           index=lambda p: p, bounds=_sparse_bounds),
 )}
 
 
@@ -147,14 +173,6 @@ def _check(method: int, n: int, params: dict) -> Method:
     except OverflowError:
         raise ContainerFormatError("a header field does not fit its width") from None
     return spec
-
-
-def expected_payload_bits(method: int, n: int, k: Optional[int] = None,
-                          c: Optional[Fraction] = None,
-                          t: Optional[int] = None) -> int:
-    spec = _method(method)
-    given = {"k": k, "c": c, "t": t}
-    return spec.payload_bits(n, *(given[name] for name in spec.params))
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,6 @@ class RefinePayload:
     def n(self) -> int:
         return self.base.n
 
-    @property
-    def total_bits(self) -> int:
-        return len(self.base.bits) + sum(len(lv) for lv in self.levels)
-
     def to_bits(self) -> Bits:
         return concat([self.base.bits, *self.levels])
 

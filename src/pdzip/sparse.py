@@ -15,11 +15,15 @@ integer threshold on the weights, found by an integer root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 from .bits import Bits, concat
 from .core import DistributionError, ProbabilityDistribution
+
+# the constant in the bound D(P||Q) <= c*H(P) + log2(pi^2/3)
+LOG2_PI2_3 = math.log2(math.pi ** 2 / 3)
 
 
 @dataclass(frozen=True)
@@ -82,20 +86,6 @@ def rank_width(n: int, c: Fraction) -> int:
     return f + 1
 
 
-def max_heavy_count(n: int, c: Fraction) -> int:
-    """floor(n^{1/(c+1)}), evaluated in exact integer arithmetic."""
-    c = _validate_c(c)
-    cn, cd = c.numerator, c.denominator
-    e = cn + cd
-    target = n ** cd
-    m = max(int(n ** (cd / e)), 0)
-    while (m + 1) ** e <= target:
-        m += 1
-    while m > 0 and m ** e > target:
-        m -= 1
-    return m
-
-
 @dataclass(frozen=True)
 class SparsePayload:
     """Heavy symbol indices (1-based), heaviest first.
@@ -123,10 +113,6 @@ class SparsePayload:
     def t(self) -> int:
         return len(self.heavy_indices)
 
-    @property
-    def bit_length(self) -> int:
-        return self.t * index_width(self.n)
-
     def to_bits(self) -> Bits:
         w = index_width(self.n)
         return concat([Bits.from_int(r - 1, w) for r in self.heavy_indices])
@@ -147,12 +133,16 @@ class SparseQueryTable:
 
     The serialized form stores, per pair, the 0-based index in
     floor(log2 n)+1 bits and the 0-based rank in
-    floor(log2(n)/(c+1))+1 bits.
+    floor(log2(n)/(c+1))+1 bits.  The decoded values, one per heavy rank
+    and one for the light symbols, are computed once when the table is
+    made and kept in `rank_values`, so a lookup only searches.
     """
 
     n: int
     c: Fraction
     pairs: tuple[tuple[int, int], ...]
+    rank_values: tuple[tuple[float, ...], Optional[float]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -172,14 +162,11 @@ class SparseQueryTable:
             ranks.add(rank)
         if len(ranks) != t:
             raise DistributionError("ranks must be a permutation of 1..t")
+        object.__setattr__(self, "rank_values", _rank_values(self.n, t))
 
     @property
     def t(self) -> int:
         return len(self.pairs)
-
-    @property
-    def bit_length(self) -> int:
-        return self.t * (index_width(self.n) + rank_width(self.n, self.c))
 
     def lookup(self, i: int) -> tuple[float, int]:
         """(probability of symbol i, number of comparisons made).
@@ -202,14 +189,8 @@ class SparseQueryTable:
         if lo < len(pairs):
             comparisons += 1
             if pairs[lo][0] == i:
-                value = _heavy_value(pairs[lo][1])
-                if self.t == self.n:
-                    # no light symbols; mirror the renormalized decoder
-                    total = sum(_heavy_value(j)
-                                for j in range(1, self.t + 1))
-                    value /= total
-                return value, comparisons
-        return _light_value(self.n, self.t), comparisons
+                return self.rank_values[0][pairs[lo][1] - 1], comparisons
+        return self.rank_values[1], comparisons
 
     def query_prob(self, i: int) -> float:
         """The probability of symbol i, as lookup finds it."""
@@ -248,11 +229,19 @@ def _heavy_value(rank: int) -> float:
     return 3.0 / (math.pi * rank) ** 2
 
 
-def _light_value(n: int, t: int) -> float:
-    if t >= n:
-        raise DistributionError("no light symbols")
-    heavy_mass = sum(_heavy_value(j) for j in range(1, t + 1))
-    return (1.0 - heavy_mass) / (n - t)
+def _rank_values(n: int, t: int) -> tuple[tuple[float, ...], Optional[float]]:
+    """(q of heavy ranks 1..t, q of every light symbol).
+
+    Heavy rank j gets 3/(pi*j)^2 and the light symbols share the
+    remainder evenly.  When every symbol is heavy (tiny n only) there is
+    no remainder to share and no light value, so the heavy values are
+    renormalized by their own sum instead.
+    """
+    heavy = tuple(_heavy_value(j) for j in range(1, t + 1))
+    total = sum(heavy)
+    if t == n:
+        return tuple(v / total for v in heavy), None
+    return heavy, (1.0 - total) / (n - t)
 
 
 def _ceil_root(r: int, e: int) -> int:
@@ -295,24 +284,12 @@ compress_sparse = select_heavy
 
 
 def decompress_sparse(payload: SparsePayload) -> ApproxDistribution:
-    """Heavy rank j gets 3/(pi*j)^2; the rest share the remainder evenly.
-
-    When every symbol is heavy (tiny n only) there is no remainder to
-    share, so the heavy values are renormalized by their own sum instead.
-    """
-    n, t = payload.n, payload.t
-    q = [0.0] * n
-    if t == n:
-        weights = [_heavy_value(j) for j in range(1, t + 1)]
-        total = sum(weights)
-        for j, r in enumerate(payload.heavy_indices, start=1):
-            q[r - 1] = weights[j - 1] / total
-    else:
-        light = _light_value(n, t)
-        for i in range(n):
-            q[i] = light
-        for j, r in enumerate(payload.heavy_indices, start=1):
-            q[r - 1] = _heavy_value(j)
+    """Each heavy rank's value at its stored index, the light value at
+    every other index; _rank_values gives both."""
+    heavy, light = _rank_values(payload.n, payload.t)
+    q = [light] * payload.n
+    for r, value in zip(payload.heavy_indices, heavy):
+        q[r - 1] = value
     return ApproxDistribution(tuple(q))
 
 

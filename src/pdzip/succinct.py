@@ -521,13 +521,9 @@ class SuccinctTreeIndex:
                 steps += 1
         return pos, steps
 
-    def leaf_depth(self, i: int) -> int:
-        _, steps = self.leaf_descent(i)
-        return steps
-
     def query_prob(self, i: int) -> Fraction:
         """q_i = 2^{-depth of leaf i}, found in depth-many steps."""
-        return Fraction(1, 1 << self.leaf_depth(i))
+        return Fraction(1, 1 << self.leaf_descent(i)[1])
 
     # ------------------------------------------------------------------
     # space accounting

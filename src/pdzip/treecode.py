@@ -19,7 +19,6 @@ once per depth, not once per leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bits import Bits
 from .core import ProbabilityDistribution
@@ -104,9 +103,6 @@ class DyadicDistribution:
     """The distribution 2^{-d_i} implied by strict-tree leaf depths."""
 
     depth_exponents: tuple[int, ...]
-
-    def probabilities(self) -> tuple[Fraction, ...]:
-        return self.to_distribution().entries
 
     def to_distribution(self) -> ProbabilityDistribution:
         """Weights 2^(top - d_i) over 2^top, top the deepest leaf's depth.

@@ -304,7 +304,7 @@ def fraction_refine_step(dist: ProbabilityDistribution,
 
 def fraction_compress_refined(dist: ProbabilityDistribution, k: int) -> RefinePayload:
     shape = fraction_code_tree(dist)
-    q = ProbabilityDistribution(implied_distribution(shape).probabilities())
+    q = implied_distribution(shape).to_distribution()
     levels = []
     for level in range(3, k + 1):
         bits, q = fraction_refine_step(dist, q, level)
@@ -321,6 +321,20 @@ def fraction_select_heavy(dist: ProbabilityDistribution, c: Fraction) -> SparseP
              if p > 0 and p.numerator ** e * nf >= p.denominator ** e]
     heavy.sort(key=lambda pi: (-pi[0], pi[1]))
     return SparsePayload(n, c, tuple(i for _, i in heavy))
+
+
+def max_heavy_count(n: int, c: Fraction) -> int:
+    """floor(n^{1/(c+1)}) in exact integers: at most this many p_i reach
+    the heavy threshold n^{-1/(c+1)}."""
+    cn, cd = c.numerator, c.denominator
+    e = cn + cd
+    target = n ** cd
+    m = max(int(n ** (cd / e)), 0)
+    while (m + 1) ** e <= target:
+        m += 1
+    while m > 0 and m ** e > target:
+        m -= 1
+    return m
 
 
 def fraction_smooth(dist: ProbabilityDistribution, eps: Fraction) -> ProbabilityDistribution:

@@ -33,7 +33,6 @@ from pdzip.sparse import (
     build_query_table,
     decompress_sparse,
     index_width,
-    max_heavy_count,
     rank_width,
     select_heavy,
 )
@@ -41,7 +40,7 @@ from pdzip.succinct import SuccinctTreeIndex, build_smoothed
 from pdzip.treebuild import StrictTreeShape, code_tree
 from pdzip.treecode import decode_tree, encode_tree, implied_distribution
 from conftest import floor_caps, ordered_tree_fits, random_tree_depths
-from naive import LinkedTree, naive_code_tree_depths
+from naive import LinkedTree, max_heavy_count, naive_code_tree_depths
 
 SPARSE_CONSTANT = 1.71807  # log2(pi^2/3) rounded up at the 5th decimal
 
@@ -128,7 +127,7 @@ def test_criterion_3_refined_method(main_corpus):
                 assert max_ratio(p, q) < bound
                 assert relative_entropy(p, q) < math.log2(bound) + 1e-9
                 payload = RefinePayload(k, base, tuple(levels))
-                assert payload.total_bits == k * p.n - 2
+                assert len(payload.to_bits()) == k * p.n - 2
                 if at in sampled:
                     assert tuple(decompress_refined(payload)) == tuple(q)
         ok = True

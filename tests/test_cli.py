@@ -365,6 +365,41 @@ class TestStats:
         assert code == 0
         assert "c*H(P) + log2(pi^2/3)" in stdout
 
+    def test_full_output(self, tmp_path, capsys):
+        # one uniform block per method: bounds and payload formula
+        src = write_dist(tmp_path / "p.txt", [13, 1, 1, 1])
+        box = str(tmp_path / "p.pdz")
+        head = "n: 4\nentropy_P: 0.99339272901 bits\n"
+        sparse = ("divergence: 0.797705400515 bits "
+                  "(bound: <= c*H(P) + log2(pi^2/3) = 2.71142)\n"
+                  "max_ratio: 2.67301785863\n")
+        expected = {
+            ("tree",): (
+                "method: tree\n" + head
+                + "divergence: 0.31910727099 bits (bound: < 2)\n"
+                "max_ratio: 1.625 (bound: < 4)\n"
+                "payload_bits: 6 (2n-2 = 6)\n"
+                "container_bytes: 22\n"),
+            ("refine", "--k", "4"): (
+                "method: refine\n" + head
+                + "divergence: 0.0915697717108 bits (bound: < 1.32193)\n"
+                "max_ratio: 1.21875 (bound: < 2.5)\n"
+                "payload_bits: 14 (kn-2 = 14)\n"
+                "container_bytes: 25\n"),
+            ("sparse",): (
+                "method: sparse\n" + head + sparse
+                + "payload_bits: 3 (t=1 entries = 3)\n"
+                "container_bytes: 46\n"),
+            ("sparse-queryable",): (
+                "method: sparse-queryable\n" + head + sparse
+                + "payload_bits: 5 (t=1 entries = 5)\n"
+                "container_bytes: 46\n"),
+        }
+        for method, want in expected.items():
+            run(capsys, "compress", "--method", *method, src, box)
+            assert run(capsys, "stats", "--original", src,
+                       "--compressed", box) == (0, want, "")
+
     def test_n_mismatch(self, tmp_path, capsys):
         src = write_dist(tmp_path / "p.txt", [1, 1])
         box = str(tmp_path / "p.pdz")

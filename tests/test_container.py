@@ -19,7 +19,6 @@ from pdzip.container import (
     container_for_refined,
     container_for_sparse,
     container_for_tree,
-    expected_payload_bits,
     query_table,
     refine_payload,
     sparse_payload,
@@ -40,12 +39,11 @@ def dist(*weights):
 
 class TestExpectedBits:
     def test_formulas(self):
-        assert expected_payload_bits(METHOD_TREE, 4) == 6
-        assert expected_payload_bits(METHOD_REFINE, 10, k=3) == 28
-        assert expected_payload_bits(METHOD_SPARSE, 16, c=Fraction(1),
-                                     t=2) == 10
-        assert expected_payload_bits(METHOD_SPARSE_QUERYABLE, 16,
-                                     c=Fraction(1), t=2) == 16
+        assert METHODS[METHOD_TREE].payload_bits(4) == 6
+        assert METHODS[METHOD_REFINE].payload_bits(10, 3) == 28
+        assert METHODS[METHOD_SPARSE].payload_bits(16, Fraction(1), 2) == 10
+        assert METHODS[METHOD_SPARSE_QUERYABLE].payload_bits(
+            16, Fraction(1), 2) == 16
 
 
 class TestPackUnpack:
@@ -237,8 +235,8 @@ class TestMethodTable:
         again = unpack(box.pack())
         assert again == box
         assert again.open() == payload
-        assert len(again.payload) == expected_payload_bits(
-            tag, box.n, k=box.k, c=box.c, t=box.t)
+        assert len(again.payload) == METHODS[tag].payload_bits(
+            box.n, *box.params)
 
     def test_rejects_fields_it_does_not_take(self, tag):
         box = container_for(sample_payload(tag))

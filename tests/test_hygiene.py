@@ -117,7 +117,7 @@ def test_fresh_import_holds_little_memory():
         "tracemalloc.start()\n"
         "import pdzip\n"
         "shape = pdzip.StrictTreeShape((1, 2, 2))\n"
-        "assert pdzip.SuccinctTreeIndex.from_tree_shape(shape).leaf_depth(3) == 2\n"
+        "assert pdzip.SuccinctTreeIndex.from_tree_shape(shape).query_prob(3) == 0.25\n"
         "del shape\n"
         "gc.collect()\n"
         "print(tracemalloc.get_traced_memory()[0])\n")

@@ -82,13 +82,13 @@ class TestRefinePayload:
         payload = RefinePayload(3, base, (Bits.from_string("00"),))
         assert payload.n == 2
         assert payload.k == 3
-        assert payload.total_bits == 4
+        assert len(payload.to_bits()) == 4
         assert payload.to_bits().to01() == "1000"
 
     def test_k2_has_no_levels(self):
         base = TreePayload(Bits.from_string("1010"), 3)
         payload = RefinePayload(2, base, ())
-        assert payload.total_bits == 4  # 2n-2 == kn-2 at k=2
+        assert len(payload.to_bits()) == 4  # 2n-2 == kn-2 at k=2
         assert payload.to_bits() == base.bits
 
     def test_level_count_checked(self):
@@ -107,7 +107,7 @@ class TestRefinePayload:
             p = random_distribution(rng, rng.randint(1, 50))
             k = rng.randint(2, 8)
             payload = compress_refined(p, k)
-            assert payload.total_bits == k * p.n - 2
+            assert len(payload.to_bits()) == k * p.n - 2
             again = RefinePayload.from_bits(payload.to_bits(), p.n, k)
             assert again == payload
 
@@ -159,7 +159,7 @@ class TestCompressRefined:
 
     def test_single_symbol(self):
         payload = compress_refined(dist(1), 5)
-        assert payload.total_bits == 3  # kn-2 = 5-2
+        assert len(payload.to_bits()) == 3  # kn-2 = 5-2
         assert tuple(decompress_refined(payload)) == (Fraction(1),)
 
 

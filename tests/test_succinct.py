@@ -41,7 +41,7 @@ def assert_same_verdict(payload):
             SuccinctTreeIndex.from_payload(payload)
         return
     idx = SuccinctTreeIndex.from_payload(payload)
-    assert tuple(idx.leaf_depth(i) for i in range(1, payload.n + 1)) == depths
+    assert tuple(idx.leaf_descent(i)[1] for i in range(1, payload.n + 1)) == depths
 
 
 def geometric_depths(n, r=2, rising=False):
@@ -147,7 +147,7 @@ class TestNavigationExamples:
         assert self.idx.is_leaf(6)
 
     def test_leaf_queries(self):
-        assert [self.idx.leaf_depth(i) for i in (1, 2, 3, 4)] == [2, 2, 2, 2]
+        assert [self.idx.leaf_descent(i)[1] for i in (1, 2, 3, 4)] == [2, 2, 2, 2]
         assert self.idx.query_prob(3) == Fraction(1, 4)
 
     def test_single_node_tree(self):
@@ -168,9 +168,9 @@ class TestNavigationExamples:
         with pytest.raises(NavigationError):
             self.idx.left_child(7)  # no such node
         with pytest.raises(NavigationError):
-            self.idx.leaf_depth(0)
+            self.idx.leaf_descent(0)
         with pytest.raises(NavigationError):
-            self.idx.leaf_depth(5)
+            self.idx.leaf_descent(5)
 
 
 class TestOracleEquivalence:
@@ -193,8 +193,7 @@ class TestOracleEquivalence:
                     assert idx.left_child(v) == oracle.left_child(v)
                     assert idx.right_child(v) == oracle.right_child(v)
             for i in range(1, n + 1):
-                assert idx.leaf_depth(i) == depths[i - 1]
-                assert idx.leaf_depth(i) == oracle.leaf_depth(i)
+                assert idx.leaf_descent(i)[1] == depths[i - 1]
                 assert idx.leaf_descent(i) == (oracle.leaf_position(i),
                                                oracle.leaf_depth(i))
 
@@ -220,7 +219,7 @@ class TestOracleEquivalence:
 class TestConstruction:
     def test_build_index(self):
         idx = SuccinctTreeIndex.from_tree_shape(code_tree(dist(2, 1, 1)))
-        assert [idx.leaf_depth(i) for i in (1, 2, 3)] == [1, 2, 2]
+        assert [idx.leaf_descent(i)[1] for i in (1, 2, 3)] == [1, 2, 2]
         assert idx.query_prob(1) == Fraction(1, 2)
 
     def test_build_index_single(self):
@@ -235,7 +234,7 @@ class TestConstruction:
     def test_from_payload(self):
         payload = TreePayload(Bits.from_string("1010"), 3)
         idx = SuccinctTreeIndex.from_payload(payload)
-        assert [idx.leaf_depth(i) for i in (1, 2, 3)] == [1, 2, 2]
+        assert [idx.leaf_descent(i)[1] for i in (1, 2, 3)] == [1, 2, 2]
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -401,7 +400,7 @@ class TestSmoothedBounds:
         rest = (1 - pmin) / 7
         p = ProbabilityDistribution((pmin,) + (rest,) * 7)
         idx = build_smoothed(p, Fraction(1))
-        depths = [idx.leaf_depth(i) for i in range(1, 9)]
+        depths = [idx.leaf_descent(i)[1] for i in range(1, 9)]
         assert depths == [4, 4, 3, 2, 3, 3, 3, 3]
         assert all(d <= 5 for d in depths)
         assert all(idx.query_prob(i) > Fraction(1, 32) for i in range(1, 9))
@@ -440,7 +439,7 @@ class TestSmoothedBounds:
         code = code_tree(smooth(p, eps)).leaf_depths
         assert any(Fraction(1, 1 << d) <= eps / 32 for d in code)
         idx = build_smoothed(p, eps)
-        depths = [idx.leaf_depth(i) for i in range(1, 9)]
+        depths = [idx.leaf_descent(i)[1] for i in range(1, 9)]
         assert depths == [4, 4, 4, 4, 4, 4, 3, 1]
         q = [idx.query_prob(i) for i in range(1, 9)]
         assert all(qi > eps / 32 for qi in q)
@@ -457,7 +456,7 @@ class TestSmoothedBounds:
         assert not ordered_tree_fits(caps)
         idx = build_smoothed(p, eps)
         code = code_tree(smooth(p, eps)).leaf_depths
-        assert tuple(idx.leaf_depth(i) for i in range(1, 14)) == code
+        assert tuple(idx.leaf_descent(i)[1] for i in range(1, 14)) == code
         self._assert_provable(p, eps, [idx.query_prob(i)
                                        for i in range(1, 14)])
 

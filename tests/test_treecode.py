@@ -135,7 +135,7 @@ def test_decoded_values_are_shared(stored, level_ints):
     refine = RefinePayload(len(levels) + 2, base, levels)
     tree = DyadicDistribution(depths)
     dyadic = [Fraction(1, 1 << d) for d in depths]
-    assert list(tree.probabilities()) == dyadic
+    assert list(tree.to_distribution().entries) == dyadic
     for dist, want in ((tree.to_distribution(), dyadic),
                        (decompress_refined(refine),
                         list(fraction_decompress_refined(refine)))):
@@ -150,7 +150,7 @@ def test_decoded_values_are_shared(stored, level_ints):
 class TestDyadic:
     def test_probabilities(self):
         d = DyadicDistribution((1, 2, 2))
-        assert [str(x) for x in d.probabilities()] == ["1/2", "1/4", "1/4"]
+        assert [str(x) for x in d.to_distribution().entries] == ["1/2", "1/4", "1/4"]
         p = d.to_distribution()
         assert isinstance(p, ProbabilityDistribution)
         assert sum(p) == 1
@@ -159,11 +159,11 @@ class TestDyadic:
         payload = compress_tree(
             ProbabilityDistribution.from_weights([2, 1, 1]))
         q = implied_distribution(decode_tree(payload))
-        assert [str(x) for x in q.probabilities()] == ["1/2", "1/4", "1/4"]
+        assert [str(x) for x in q.to_distribution().entries] == ["1/2", "1/4", "1/4"]
 
     def test_single(self):
         q = implied_distribution(decode_tree(TreePayload(Bits.empty(), 1)))
-        assert list(q.probabilities()) == [1]
+        assert list(q.to_distribution().entries) == [1]
 
 
 class TestCompressTree:
