@@ -8,6 +8,12 @@ are logarithmic measures (entropy, divergence) and the irrational
 per-symbol values produced by the sparse codec.  All logarithms are
 base 2 and results are in bits.
 
+from_weights takes int, bool, float, Fraction and Decimal weights, or
+anything else with an exact as_integer_ratio().  With each weight a
+ratio num_i/d_i in lowest terms and L = lcm(d_i), the gcd of the
+integers num_i * L/d_i is the gcd of the numerators alone, so the
+weights reach lowest terms with no gcd over the scaled integers.
+
 The measures make one pass over their arguments and build no
 per-symbol list.  A distribution is read as its integer weights over
 its total and a sequence (Fractions, floats or ints) entry by entry,
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
 from typing import Sequence, Union
@@ -32,6 +39,20 @@ class DistributionError(ValueError):
 
 class InfiniteDivergenceError(ValueError):
     """Raised when D(P||Q) is infinite because some q_i = 0 with p_i > 0."""
+
+
+# the types whose as_integer_ratio() Python documents as lowest terms
+_LOWEST_TERMS = frozenset((int, bool, float, Fraction, Decimal))
+
+
+def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Positive-denominator pairs num/d over L = lcm(d): each num * (L // d), and L.
+
+    The lcm runs over the distinct denominators in ascending order: in
+    falling order, every step would take a gcd against the whole lcm so far.
+    """
+    den = math.lcm(*sorted({d for _, d in ratios}))
+    return [num * (den // d) for num, d in ratios], den
 
 
 class ProbabilityDistribution:
@@ -57,13 +78,12 @@ class ProbabilityDistribution:
                 raise DistributionError("negative probability")
         # reduced entries over the lcm of their denominators sum to that
         # lcm exactly when they sum to 1, and are then in lowest terms
-        den = math.lcm(*(p.denominator for p in entries))
-        weights = tuple(p.numerator * (den // p.denominator) for p in entries)
+        weights, den = _over_lcm([p.as_integer_ratio() for p in entries])
         total = sum(weights)
         if total != den:
             raise DistributionError(
                 f"probabilities sum to {Fraction(total, den)}, not 1")
-        self._init(weights, den, entries)
+        self._init(tuple(weights), den, entries)
 
     def _init(self, weights: tuple[int, ...], total: int, entries=None) -> None:
         object.__setattr__(self, "weights", weights)
@@ -99,28 +119,45 @@ class ProbabilityDistribution:
         return dist
 
     @classmethod
-    def from_weights(cls, weights: Sequence[Union[int, Fraction, float]]
+    def from_weights(cls, weights: Sequence[Union[int, float, Fraction, Decimal]]
                      ) -> "ProbabilityDistribution":
         """Normalize non-negative weights by their exact sum.
 
-        Int, Fraction and float weights are put over the lcm of their
-        denominators, which makes them integers.
+        A weight is anything with an exact as_integer_ratio(): int, bool,
+        float, Fraction and Decimal give it in lowest terms, and a pair
+        from any other type is reduced first.  The pairs num_i/d_i are put
+        over L = lcm(d_i) and divided by g = gcd(num_i), which makes them
+        integers in lowest terms: gcd_i(num_i * L/d_i) = g, because a prime
+        of L divides some d_j to its full power in L, so it divides neither
+        L/d_j nor num_j, and any other prime divides each num_i * L/d_i
+        exactly as often as num_i.
         """
+        # read twice: for the ratios and for their types
+        weights = list(weights)
         try:
             ratios = [w.as_integer_ratio() for w in weights]
         except AttributeError:
-            raise DistributionError(
-                "weights must be int, Fraction or float") from None
+            raise DistributionError("weights must be int, float, Fraction, "
+                                    "Decimal or have as_integer_ratio()") from None
         if not ratios:
             raise DistributionError("no weights given")
-        den = math.lcm(*(d for _, d in ratios))
-        ints = [num * (den // d) for num, d in ratios]
-        if min(ints) < 0:
+        if not _LOWEST_TERMS.issuperset(map(type, weights)):
+            # the gcd of the numerators stands for the whole only in lowest terms
+            ratios = [Fraction(*r).as_integer_ratio() for r in ratios]
+        nums = [num for num, _ in ratios]
+        low = min(nums)
+        if low < 0:
             raise DistributionError("negative weight")
-        total = sum(ints)
-        if total == 0:
+        # from the smallest numerator on, the running gcd stays small
+        g = math.gcd(low, *nums)
+        if not g:
             raise DistributionError("all weights are zero")
-        return cls._exact(ints, total)
+        if g > 1:
+            ratios = [(num // g, d) for num, d in ratios]
+        ints, _ = _over_lcm(ratios)
+        dist = object.__new__(cls)
+        dist._init(tuple(ints), sum(ints))
+        return dist
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -257,6 +257,16 @@ def log2_fraction(x: Fraction) -> float:
 # ----------------------------------------------------------------------
 # the Fraction formulas of the construction, before integer weights
 
+def fraction_from_weights(weights) -> tuple[tuple[int, ...], int, tuple[Fraction, ...]]:
+    """(weights, total, entries) of w_i / sum(w): each entry a reduced
+    Fraction, then all of them over the lcm of their denominators."""
+    ws = [Fraction(*w.as_integer_ratio()) for w in weights]
+    s = sum(ws)
+    entries = tuple(w / s for w in ws)
+    total = math.lcm(*(p.denominator for p in entries))
+    return tuple(p.numerator * (total // p.denominator) for p in entries), total, entries
+
+
 def fraction_midpoints(dist: ProbabilityDistribution) -> tuple[Fraction, ...]:
     """S_i = p_i/2 + sum_{j<i} p_j, added up in Fractions."""
     vals = []

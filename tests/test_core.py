@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdzip.core import (
@@ -20,7 +20,7 @@ from pdzip.core import (
     relative_entropy,
 )
 
-from naive import log2_fraction
+from naive import fraction_from_weights, log2_fraction
 
 # High-precision reference values, computed once with an arbitrary
 # precision library and frozen here.
@@ -76,6 +76,68 @@ class TestProbabilityDistribution:
     def test_single_point(self):
         p = ProbabilityDistribution.from_weights([5])
         assert tuple(p) == (Fraction(1),)
+
+    @pytest.mark.parametrize("weights,message", [
+        ([0, 0], "all weights are zero"),
+        ([Fraction(0), 0.0], "all weights are zero"),
+        ([], "no weights"),
+        ([Fraction(1, 3), Fraction(-1, 6), 2], "negative weight"),
+        (["1"], "must be int"),
+    ])
+    def test_from_weights_rejects(self, weights, message):
+        with pytest.raises(DistributionError, match=message):
+            ProbabilityDistribution.from_weights(weights)
+
+    @pytest.mark.parametrize("bad,error,message", [
+        (float("nan"), ValueError, "NaN"),
+        (float("inf"), OverflowError, "Infinity"),
+    ])
+    def test_from_weights_non_finite(self, bad, error, message):
+        # the error of float.as_integer_ratio, not a DistributionError
+        with pytest.raises(error, match=message) as info:
+            ProbabilityDistribution.from_weights([1.0, bad])
+        assert not isinstance(info.value, DistributionError)
+
+    def test_from_weights_common_factor_beside_zero(self):
+        # numerators 0, 2, 4 share the factor 2: 6/9 and 4/9 become 3 and 2
+        p = ProbabilityDistribution.from_weights([0, Fraction(2, 3), Fraction(4, 9)])
+        assert (p.weights, p.total) == ((0, 3, 2), 5)
+
+    def test_from_weights_reduces_other_ratios(self):
+        # only the built-in number types promise a ratio in lowest terms;
+        # 2/4 taken unreduced beside 1 would give the weights 2 and 4
+        class Ratio:
+            def __init__(self, num, den):
+                self.pair = num, den
+
+            def as_integer_ratio(self):
+                return self.pair
+
+        p = ProbabilityDistribution.from_weights([Ratio(2, 4), 1])
+        assert (p.weights, p.total) == ((1, 2), 3)
+        p = ProbabilityDistribution.from_weights(iter([Ratio(6, 9), Ratio(2, 6)]))
+        assert (p.weights, p.total) == ((2, 1), 3)
+        with pytest.raises(DistributionError, match="negative weight"):
+            ProbabilityDistribution.from_weights([Ratio(1, -2), 1])
+
+
+_ANY_WEIGHT = st.one_of(
+    st.integers(min_value=0),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    st.builds(Fraction, st.integers(0, 2 ** 200), st.integers(1, 2 ** 200)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_ANY_WEIGHT, min_size=1, max_size=40))
+def test_from_weights_is_the_reduced_normalization(weights):
+    if not any(weights):
+        with pytest.raises(DistributionError, match="all weights are zero"):
+            ProbabilityDistribution.from_weights(weights)
+        return
+    p = ProbabilityDistribution.from_weights(weights)
+    assert (p.weights, p.total, p.entries) == fraction_from_weights(weights)
+    assert math.gcd(*p.weights) == 1
 
 
 class TestParsing:

@@ -6,6 +6,8 @@ cases pin the integer tests where they switch; and property tests cover
 the integer form of parsed and normalized weights.
 """
 
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ from naive import (
     fraction_codeword,
     fraction_compress_refined,
     fraction_decompress_refined,
+    fraction_from_weights,
     fraction_midpoints,
     fraction_refine_step,
     fraction_select_heavy,
@@ -197,6 +200,31 @@ _weight = st.one_of(
 def _expected(weights):
     ws = [Fraction(w) for w in weights]
     return tuple(w / sum(ws) for w in ws)
+
+
+def _reference_weight_lists(n=300):
+    # the Zipf and geometric families of conftest, every ratio both ways
+    for a in (1, 2):
+        yield pytest.param([Fraction(1, i ** a) for i in range(1, n + 1)],
+                           id=f"zipf-a{a}")
+    for num, den in ((2, 1), (3, 2), (3, 1), (5, 4), (5, 2)):
+        up = [Fraction(num, den) ** i for i in range(n)]
+        yield pytest.param(up, id=f"geometric-{num}/{den}-up")
+        yield pytest.param(up[::-1], id=f"geometric-{num}/{den}-down")
+    yield pytest.param([3, 0.375, Fraction(5, 7), 0, 1e-30, Fraction(2, 3 ** 40),
+                        True], id="mixed")
+    yield pytest.param([Decimal("0.125"), Decimal("2.5"), Decimal("1E-20"),
+                        Decimal("7"), Decimal(0)], id="decimal")
+    # numerators with the common factor g = 6
+    yield pytest.param([Fraction(6, 5), 12, Fraction(18, 7), 0, 6.0],
+                       id="shared-factor")
+
+
+@pytest.mark.parametrize("weights", _reference_weight_lists())
+def test_from_weights_matches_reference(weights):
+    p = ProbabilityDistribution.from_weights(weights)
+    assert (p.weights, p.total, p.entries) == fraction_from_weights(weights)
+    assert math.gcd(*p.weights) == 1
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
