@@ -41,11 +41,9 @@ from .succinct import (
     smooth,
 )
 from .treebuild import (
-    Codeword,
     CodewordSetError,
     ZeroProbabilityError,
     code_tree,
-    codeword,
     contract_to_strict,
     midpoints,
 )
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxDistribution",
     "Bits",
-    "Codeword",
     "CodewordSetError",
     "DistributionError",
     "DyadicDistribution",
@@ -84,7 +81,6 @@ __all__ = [
     "build_query_table",
     "build_smoothed",
     "code_tree",
-    "codeword",
     "compress_refined",
     "compress_sparse",
     "compress_tree",

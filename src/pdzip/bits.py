@@ -31,35 +31,6 @@ class Bits:
     # constructors
 
     @classmethod
-    def empty(cls) -> "Bits":
-        return cls(b"", 0)
-
-    @classmethod
-    def from_iterable(cls, bits: Iterable[int]) -> "Bits":
-        buf = bytearray()
-        acc = 0
-        fill = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            acc = (acc << 1) | b
-            fill += 1
-            n += 1
-            if fill == 8:
-                buf.append(acc)
-                acc = 0
-                fill = 0
-        if fill:
-            buf.append(acc << (8 - fill))
-        return cls(bytes(buf), n)
-
-    @classmethod
-    def from_string(cls, text: str) -> "Bits":
-        return cls.from_iterable(1 if ch == "1" else 0 if ch == "0" else _bad(ch)
-                                 for ch in text)
-
-    @classmethod
     def from_int(cls, value: int, nbits: int) -> "Bits":
         """The low `nbits` bits of `value`, most significant first."""
         if nbits < 0:
@@ -91,12 +62,6 @@ class Bits:
 
     def __hash__(self) -> int:
         return hash((self._data, self._nbits))
-
-    def __add__(self, other: "Bits") -> "Bits":
-        if not isinstance(other, Bits):
-            return NotImplemented
-        total = (self.as_int() << len(other)) | other.as_int()
-        return Bits.from_int(total, self._nbits + other._nbits)
 
     def __repr__(self) -> str:
         shown = self.to01()
@@ -142,10 +107,6 @@ class Bits:
         end = (stop + 7) >> 3
         chunk = int.from_bytes(self._data[start >> 3:end], "big")
         return (chunk >> (8 * end - stop)) & ((1 << width) - 1)
-
-
-def _bad(ch: str) -> int:
-    raise ValueError(f"invalid bit character {ch!r}")
 
 
 def concat(parts: Iterable[Bits]) -> Bits:

@@ -200,6 +200,11 @@ def cmd_compress(args) -> int:
             raise UsageError("--epsilon applies only to tree and refine")
     if args.epsilon is not None and args.epsilon <= 0:
         raise UsageError("--epsilon must be positive")
+    # the header stores k in 2 bytes
+    if args.k is not None and not 2 <= args.k <= 0xFFFF:
+        raise UsageError("--k must be from 2 to 65535")
+    if args.c is not None and args.c < 1:
+        raise UsageError("--c must be at least 1")
 
     dist = _read_distribution(args.input)
     if method in ("tree", "refine"):
@@ -211,15 +216,9 @@ def cmd_compress(args) -> int:
         if method == "tree":
             payload = compress_tree(dist)
         else:
-            k = 3 if args.k is None else args.k
-            if k < 2:
-                raise UsageError("--k must be at least 2")
-            payload = compress_refined(dist, k)
+            payload = compress_refined(dist, 3 if args.k is None else args.k)
     else:
-        c = Fraction(1) if args.c is None else args.c
-        if c < 1:
-            raise UsageError("--c must be at least 1")
-        payload = compress_sparse(dist, c)
+        payload = compress_sparse(dist, Fraction(1) if args.c is None else args.c)
         if method == "sparse-queryable":
             payload = build_query_table(payload)
 

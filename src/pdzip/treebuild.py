@@ -8,12 +8,12 @@ strict binary tree whose leaf i sits at depth d_i with 2^{d_i} * p_i < 4.
 Everything is exact integer arithmetic on the distribution's weights w_i
 over their sum W: S_i is (2 * prefix_i + w_i) / 2W, codeword i is L bits
 long for the least L with w_i * 2^L >= 2W, and its value is
-((2 * prefix_i + w_i) << L) // 2W.  Codewords are held as (value, length)
-integer pairs so that a codeword of any length is one bigint, and the
-contraction works off longest-common-prefix lengths of consecutive
-codewords.  This keeps the whole pipeline at O(n) arithmetic operations
-instead of one operation per codeword bit, which matters for skewed
-inputs whose total codeword length is quadratic.
+((2 * prefix_i + w_i) << L) // 2W.  `code_tree` holds each codeword as a
+(value, length) pair of ints, so that a codeword of any length is one
+bigint, and `contract_to_strict` works off the longest-common-prefix
+lengths of consecutive codewords.  This keeps the whole pipeline at O(n)
+arithmetic operations instead of one operation per codeword bit, which
+matters for skewed inputs whose total codeword length is quadratic.
 
 The contracted trie is the Cartesian tree of those LCPs (Fischer & Heun,
 SIAM J. Comput. 2011): codewords j and j+1 part at the branching node
@@ -33,7 +33,6 @@ checking walk that StrictTreeShape(depths) does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
 from typing import Sequence
@@ -50,29 +49,6 @@ class CodewordSetError(ValueError):
     """Codewords that are not prefix-free and strictly increasing."""
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """A finite bit string, most significant bit first."""
-
-    value: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 0 or self.value < 0 or self.value >> self.length:
-            raise ValueError("codeword value does not fit its length")
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.length - 1 - i)) & 1
-                     for i in range(self.length))
-
-    def to01(self) -> str:
-        return format(self.value, f"0{self.length}b") if self.length else ""
-
-    def __str__(self) -> str:
-        return self.to01()
-
-
 def midpoints(dist: ProbabilityDistribution) -> tuple[int, ...]:
     """Numerators of the S_i = p_i/2 + sum_{j<i} p_j over 2 * dist.total.
 
@@ -87,40 +63,17 @@ def midpoints(dist: ProbabilityDistribution) -> tuple[int, ...]:
     return tuple(map(add, prefix, prefix[1:]))
 
 
-def codeword(midpoint: int, weight: int, total: int) -> Codeword:
-    """The first L bits of S = midpoint / 2total, for p = weight / total.
+def contract_to_strict(values: Sequence[int],
+                       lengths: Sequence[int]) -> StrictTreeShape:
+    """The trie of the codewords (values[j], lengths[j]), every one-child
+    node removed.
 
-    L = ceil(log2(2/p)) is the least L with weight * 2^L >= 2 * total;
-    the bit lengths of the two sides leave only two candidates.
-    """
-    span = 2 * total
-    if not 0 < weight <= total:
-        raise ValueError("weight must be in (0, total]")
-    if not 0 <= midpoint < span:
-        raise ValueError("midpoint must be in [0, 2 * total)")
-    length = span.bit_length() - weight.bit_length()
-    if weight << length < span:
-        length += 1
-    return Codeword((midpoint << length) // span, length)
-
-
-def contract_to_strict(codewords: Sequence[Codeword]) -> StrictTreeShape:
-    """Depths of the codeword trie after removing every one-child node.
-
-    The codewords must be strictly increasing and prefix-free; anything
-    else raises CodewordSetError.
-    """
-    return _contract([c.value for c in codewords],
-                     [c.length for c in codewords])
-
-
-def _contract(values: Sequence[int], lengths: Sequence[int]) -> StrictTreeShape:
-    """The contracted trie of the codewords (values[j], lengths[j]).
-
-    One pass computes each LCP, rejects a codeword that is a prefix of
-    the next or sorts after it (the LCPs would then describe no trie of
-    these codewords), and runs the Cartesian-tree stack described in the
-    module docstring.
+    Codeword j is the lengths[j]-bit binary form of values[j], so
+    values[j] < 2**lengths[j] (assumed, not checked).  One pass
+    computes each LCP, raises CodewordSetError on a codeword that is a
+    prefix of the next or sorts after it (the LCPs would then describe no
+    trie of these codewords) or on an empty list, and runs the
+    Cartesian-tree stack described in the module docstring.
     """
     n = len(values)
     if not n:
@@ -159,8 +112,10 @@ def _contract(values: Sequence[int], lengths: Sequence[int]) -> StrictTreeShape:
 def code_tree(dist: ProbabilityDistribution) -> StrictTreeShape:
     """Strict code tree for a strictly positive distribution.
 
-    The codewords of `codeword`, computed as plain ints, then contracted;
-    the resulting leaf depths satisfy 2^{d_i} * p_i < 4.
+    Codeword i is the first L bits of S_i, for the least L with
+    w_i * 2^L >= 2W (the bit lengths of the two sides leave only two
+    candidates); `contract_to_strict` turns them into a tree whose leaf
+    depths satisfy 2^{d_i} * p_i < 4.
     """
     span = 2 * dist.total
     top = span.bit_length()
@@ -172,7 +127,7 @@ def code_tree(dist: ProbabilityDistribution) -> StrictTreeShape:
             length += 1
         values.append((mid << length) // span)
         lengths.append(length)
-    return _contract(values, lengths)
+    return contract_to_strict(values, lengths)
 
 
 def capped_tree(caps: Sequence[int]) -> StrictTreeShape | None:
@@ -197,4 +152,4 @@ def capped_tree(caps: Sequence[int]) -> StrictTreeShape | None:
         if end > 1 << top:
             return None
         values.append(start >> (top - cap))
-    return _contract(values, caps)
+    return contract_to_strict(values, caps)

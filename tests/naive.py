@@ -10,8 +10,10 @@ over speed; intended for small inputs in the test suite only.
 The last section is the exception: it keeps the Fraction formulas that
 the package's integer-weight construction replaced (midpoints and
 codewords, the refine thresholds, the heavy-symbol test and smoothing)
-and feeds them to the package's unchanged contraction, codecs and
+and feeds them to the package's own `contract_to_strict`, codecs and
 container, so a test can require byte-identical containers.
+
+`bits("0101")` spells a Bits value as a 0/1 string.
 """
 
 from __future__ import annotations
@@ -25,8 +27,12 @@ from pdzip.core import (DistributionError, ProbabilityDistribution, _log2_ratio,
                         ceil_log2_ratio)
 from pdzip.refine import RefinePayload
 from pdzip.sparse import SparsePayload
-from pdzip.treebuild import Codeword, capped_tree, contract_to_strict
+from pdzip.treebuild import capped_tree, contract_to_strict
 from pdzip.treecode import StrictTreeShape, encode_tree, implied_distribution
+
+
+def bits(text: str) -> Bits:
+    return Bits.from_int(int(text or "0", 2), len(text))
 
 
 # ----------------------------------------------------------------------
@@ -279,18 +285,19 @@ def fraction_midpoints(dist: ProbabilityDistribution) -> tuple[Fraction, ...]:
     return tuple(vals)
 
 
-def fraction_codeword(midpoint: Fraction, prob: Fraction) -> Codeword:
-    """The first ceil(log2(2/prob)) bits of midpoint's binary expansion."""
+def fraction_codeword(midpoint: Fraction, prob: Fraction) -> tuple[int, int]:
+    """The first ceil(log2(2/prob)) bits of midpoint's binary expansion,
+    as a (value, length) pair."""
     length = ceil_log2_ratio(2 * prob.denominator, prob.numerator)
-    value = (midpoint.numerator << length) // midpoint.denominator
-    return Codeword(value, length)
+    return (midpoint.numerator << length) // midpoint.denominator, length
 
 
 def fraction_code_tree(dist: ProbabilityDistribution) -> StrictTreeShape:
     if dist.n == 1:
         return StrictTreeShape((0,))
-    return contract_to_strict([fraction_codeword(s, p) for s, p in
-                               zip(fraction_midpoints(dist), dist.entries)])
+    values, lengths = zip(*map(fraction_codeword, fraction_midpoints(dist),
+                               dist.entries))
+    return contract_to_strict(values, lengths)
 
 
 def fraction_refine_step(dist: ProbabilityDistribution,
@@ -309,7 +316,7 @@ def fraction_refine_step(dist: ProbabilityDistribution,
     normalizer = 1 + marked_mass
     new_q = tuple((2 * q if m else q) / normalizer
                   for m, q in zip(marks, q_prev.entries))
-    return Bits.from_iterable(marks), ProbabilityDistribution(new_q)
+    return bits("".join(map(str, marks))), ProbabilityDistribution(new_q)
 
 
 def fraction_compress_refined(dist: ProbabilityDistribution, k: int) -> RefinePayload:

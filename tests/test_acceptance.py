@@ -19,7 +19,7 @@ import random
 import time
 from fractions import Fraction
 
-from pdzip.bits import Bits
+from pdzip.bits import concat
 from pdzip.cli import main as cli_main
 from pdzip.core import (
     ProbabilityDistribution,
@@ -40,7 +40,7 @@ from pdzip.succinct import SuccinctTreeIndex, build_smoothed
 from pdzip.treebuild import StrictTreeShape, code_tree
 from pdzip.treecode import decode_tree, encode_tree, implied_distribution
 from conftest import floor_caps, ordered_tree_fits, random_tree_depths
-from naive import LinkedTree, max_heavy_count, naive_code_tree_depths
+from naive import LinkedTree, bits, max_heavy_count, naive_code_tree_depths
 
 SPARSE_CONSTANT = 1.71807  # log2(pi^2/3) rounded up at the 5th decimal
 
@@ -179,8 +179,7 @@ def test_criterion_5_succinct_navigation():
             depths = random_tree_depths(rng, n, balanced=n > 1000)
             shape = StrictTreeShape(depths)
             idx = SuccinctTreeIndex.from_tree_shape(shape)
-            bits = encode_tree(shape).bits + Bits.from_string("0")
-            oracle = LinkedTree(bits)
+            oracle = LinkedTree(concat([encode_tree(shape).bits, bits("0")]))
             for v in range(2 * n - 1):
                 leaf = idx.is_leaf(v)
                 assert leaf == oracle.is_leaf(v)

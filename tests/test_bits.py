@@ -3,18 +3,19 @@ import random
 import pytest
 
 from pdzip.bits import Bits, concat
+from naive import bits
 
 
 def test_empty():
-    b = Bits.empty()
+    b = Bits()
     assert len(b) == 0
     assert b.to01() == ""
     assert b.as_int() == 0
     assert b.packed_bytes() == b""
 
 
-def test_from_string_and_indexing():
-    b = Bits.from_string("10110")
+def test_indexing():
+    b = bits("10110")
     assert len(b) == 5
     assert [b[i] for i in range(5)] == [1, 0, 1, 1, 0]
     assert list(b) == [1, 0, 1, 1, 0]
@@ -35,17 +36,11 @@ def test_from_int():
         Bits.from_int(-1, 3)
 
 
-def test_from_iterable():
-    assert Bits.from_iterable([1, 0, 1]).to01() == "101"
-    assert Bits.from_iterable([]) == Bits.empty()
-    assert Bits.from_iterable(bool(x) for x in (1, 0)) == Bits.from_string("10")
-
-
 def test_packing_is_msb_first_zero_padded():
-    b = Bits.from_string("10110")
+    b = bits("10110")
     # 10110 -> byte 1011_0000
     assert b.packed_bytes() == bytes([0b10110000])
-    b2 = Bits.from_string("1" * 9)
+    b2 = bits("1" * 9)
     assert b2.packed_bytes() == bytes([0xFF, 0x80])
 
 
@@ -62,32 +57,33 @@ def test_ctor_validates_padding_and_length():
 
 
 def test_as_int():
-    assert Bits.from_string("101").as_int() == 5
-    assert Bits.from_string("00101").as_int() == 5
-    assert Bits.empty().as_int() == 0
+    assert bits("101").as_int() == 5
+    assert bits("00101").as_int() == 5
+    assert Bits().as_int() == 0
 
 
 def test_equality_and_hash():
-    a = Bits.from_string("0110")
+    a = bits("0110")
     b = Bits.from_int(6, 4)
     assert a == b
     assert hash(a) == hash(b)
-    assert a != Bits.from_string("110")
+    assert a != bits("110")
     assert a != "0110"
 
 
-def test_add_and_concat():
-    a = Bits.from_string("101")
-    b = Bits.from_string("01")
-    assert (a + b).to01() == "10101"
+def test_concat():
+    a = bits("101")
+    b = bits("01")
+    assert concat([a, b]).to01() == "10101"
     assert concat([a, b, a]).to01() == "10101101"
-    assert concat([]) == Bits.empty()
+    assert concat([Bits(), a, Bits()]) == a
+    assert concat([]) == Bits()
 
 
 def test_slice_and_uint():
-    b = Bits.from_string("11010010")
+    b = bits("11010010")
     assert b.slice(2, 6).to01() == "0100"
-    assert b.slice(0, 0) == Bits.empty()
+    assert b.slice(0, 0) == Bits()
     assert b.uint(2, 4) == 0b0100
     assert b.uint(0, 8) == 0b11010010
     with pytest.raises(ValueError):
@@ -101,7 +97,7 @@ def test_round_trip_random():
     for _ in range(200):
         nbits = rng.randint(0, 200)
         s = "".join(rng.choice("01") for _ in range(nbits))
-        b = Bits.from_string(s)
+        b = bits(s)
         assert b.to01() == s
         assert Bits(b.packed_bytes(), nbits) == b
         if nbits:

@@ -7,7 +7,6 @@ import pytest
 
 from pdzip import cli
 from pdzip import container as cont
-from pdzip.bits import Bits
 from pdzip.cli import (
     format_exact_decimal,
     format_probability,
@@ -16,7 +15,7 @@ from pdzip.cli import (
 )
 from pdzip.refine import RefinePayload, decompress_refined
 from pdzip.sparse import decompress_sparse
-from naive import fraction_decompress_refined
+from naive import bits, fraction_decompress_refined
 
 
 def write_dist(path, lines):
@@ -100,20 +99,37 @@ class TestCompress:
         assert code == 0
 
     def test_flag_cross_validation(self, tmp_path, capsys):
+        # every check runs before the input is read, so a missing input
+        # exits 1 too; k must fit the header's 2-byte field
         src = write_dist(tmp_path / "p.txt", [1, 1])
-        out = str(tmp_path / "p.pdz")
-        bad_calls = [
-            ("compress", "--method", "tree", "--k", "3", src, out),
-            ("compress", "--method", "tree", "--c", "1", src, out),
-            ("compress", "--method", "sparse", "--epsilon", "1", src, out),
-            ("compress", "--method", "refine", "--k", "1", src, out),
-            ("compress", "--method", "sparse", "--c", "1/2", src, out),
-            ("compress", "--method", "tree", "--epsilon", "0", src, out),
-            ("compress", "--method", "nope", src, out),
+        missing = str(tmp_path / "absent.txt")
+        out = tmp_path / "p.pdz"
+        bad_flags = [
+            ("--method", "tree", "--k", "3"),
+            ("--method", "tree", "--c", "1"),
+            ("--method", "sparse", "--epsilon", "1"),
+            ("--method", "refine", "--k", "1"),
+            ("--method", "refine", "--k", "65536"),
+            ("--method", "refine", "--k", "70000"),
+            ("--method", "sparse", "--c", "1/2"),
+            ("--method", "sparse-queryable", "--c", "0"),
+            ("--method", "tree", "--epsilon", "0"),
+            ("--method", "nope"),
         ]
-        for argv in bad_calls:
-            code, _, _ = run(capsys, *argv)
-            assert code == 1, argv
+        for path in (src, missing):
+            for flags in bad_flags:
+                code, stdout, _ = run(capsys, "compress", *flags, path,
+                                      str(out))
+                assert (code, stdout) == (1, ""), (flags, path)
+                assert not out.exists()
+
+    def test_k_at_the_header_limit(self, tmp_path, capsys):
+        src = write_dist(tmp_path / "p.txt", [1])
+        box = str(tmp_path / "p.pdz")
+        code, stdout, _ = run(capsys, "compress", "--method", "refine",
+                              "--k", "65535", src, box)
+        assert code == 0 and "payload_bits=65533" in stdout
+        assert cont.unpack(open(box, "rb").read()).k == 65535
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         out = str(tmp_path / "p.pdz")
@@ -433,9 +449,9 @@ class TestCorruption:
         for tree_bits in ("1111", "0010"):
             for container in (
                     cont.Container(cont.METHOD_TREE, 3,
-                                   Bits.from_string(tree_bits)),
+                                   bits(tree_bits)),
                     cont.Container(cont.METHOD_REFINE, 3,
-                                   Bits.from_string(tree_bits + "101"), k=3)):
+                                   bits(tree_bits + "101"), k=3)):
                 box.write_bytes(container.pack())
                 for argv in (("query", "--index", "2", str(box)),
                              ("decompress", str(box), out)):

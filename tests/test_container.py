@@ -31,6 +31,7 @@ from pdzip.refine import compress_refined
 from pdzip.sparse import build_query_table, select_heavy
 from pdzip.treecode import compress_tree
 from conftest import random_distribution
+from naive import bits
 
 
 def dist(*weights):
@@ -176,27 +177,27 @@ class TestRejects:
 class TestConstructorChecks:
     def test_payload_length_must_match(self):
         with pytest.raises(ContainerFormatError):
-            Container(METHOD_TREE, 4, Bits.from_string("10"))
+            Container(METHOD_TREE, 4, bits("10"))
 
     def test_tree_takes_no_params(self):
         with pytest.raises(ContainerFormatError):
-            Container(METHOD_TREE, 2, Bits.from_string("10"), k=3)
+            Container(METHOD_TREE, 2, bits("10"), k=3)
 
     def test_refine_needs_k(self):
         with pytest.raises(ContainerFormatError):
-            Container(METHOD_REFINE, 2, Bits.from_string("1000"))
+            Container(METHOD_REFINE, 2, bits("1000"))
 
     def test_sparse_needs_c_and_t(self):
         with pytest.raises(ContainerFormatError):
-            Container(METHOD_SPARSE, 4, Bits.empty())
+            Container(METHOD_SPARSE, 4, Bits())
 
     def test_fields_must_fit_the_header(self):
-        tree = Bits.from_string("10")
-        for bad in (lambda: Container(METHOD_TREE, 1 << 64, Bits.empty()),
+        tree = bits("10")
+        for bad in (lambda: Container(METHOD_TREE, 1 << 64, Bits()),
                     lambda: Container(METHOD_REFINE, 2, tree, k=1 << 16),
-                    lambda: Container(METHOD_SPARSE, 4, Bits.empty(),
+                    lambda: Container(METHOD_SPARSE, 4, Bits(),
                                       c=Fraction(1 << 64), t=0),
-                    lambda: Container(METHOD_SPARSE, 4, Bits.empty(),
+                    lambda: Container(METHOD_SPARSE, 4, Bits(),
                                       c=Fraction(1), t=-1)):
             with pytest.raises(ContainerFormatError):
                 bad()

@@ -9,11 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from pdzip.bits import Bits
 from pdzip.core import ProbabilityDistribution, entropy, relative_entropy
 from pdzip.treebuild import code_tree
 from naive import (
     LinkedTree,
+    bits,
+    fraction_code_tree,
+    fraction_codeword,
+    fraction_midpoints,
     naive_code_tree_depths,
     naive_codeword_bits,
     naive_codeword_length,
@@ -45,10 +48,12 @@ class TestNaiveCodewords:
             n = rng.randint(1, 6)
             weights = [rng.randint(1, 20) for _ in range(n)]
             p = ProbabilityDistribution.from_weights(weights)
-            from pdzip.treebuild import codeword, midpoints
-            primary = [codeword(m, w, p.total).to01()
-                       for m, w in zip(midpoints(p), p.weights)]
-            assert naive_codewords(p) == primary
+            assert naive_codewords(p) == [
+                format(value, f"0{length}b") for value, length in
+                map(fraction_codeword, fraction_midpoints(p), p.entries)]
+            want = fraction_code_tree(p)
+            assert code_tree(p) == want
+            assert naive_code_tree_depths(p) == want.leaf_depths
 
 
 class TestNaivePipeline:
@@ -73,7 +78,7 @@ class TestNaivePipeline:
 
 class TestLinkedTree:
     def test_example_navigation(self):
-        t = LinkedTree(Bits.from_string("1100100"))
+        t = LinkedTree(bits("1100100"))
         assert t.n == 4
         assert t.left_child(0) == 1
         assert t.right_child(0) == 4
@@ -84,7 +89,7 @@ class TestLinkedTree:
 
     def test_odd_length_required(self):
         with pytest.raises(ValueError):
-            LinkedTree(Bits.from_string("10"))
+            LinkedTree(bits("10"))
 
 
 class TestNaiveInfoMeasures:

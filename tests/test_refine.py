@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from pdzip.bits import Bits
 from pdzip.core import (
     DistributionError,
     ProbabilityDistribution,
@@ -23,7 +22,7 @@ from pdzip.treebuild import ZeroProbabilityError
 from pdzip.treecode import (StrictTreeShape, TreePayload, decode_tree,
                             encode_tree, implied_distribution)
 from conftest import random_distribution
-from naive import fraction_decompress_refined, log2_fraction
+from naive import bits, fraction_decompress_refined, log2_fraction
 
 
 def dist(*weights):
@@ -78,28 +77,28 @@ class TestRefineStep:
 
 class TestRefinePayload:
     def test_structure(self):
-        base = TreePayload(Bits.from_string("10"), 2)
-        payload = RefinePayload(3, base, (Bits.from_string("00"),))
+        base = TreePayload(bits("10"), 2)
+        payload = RefinePayload(3, base, (bits("00"),))
         assert payload.n == 2
         assert payload.k == 3
         assert len(payload.to_bits()) == 4
         assert payload.to_bits().to01() == "1000"
 
     def test_k2_has_no_levels(self):
-        base = TreePayload(Bits.from_string("1010"), 3)
+        base = TreePayload(bits("1010"), 3)
         payload = RefinePayload(2, base, ())
         assert len(payload.to_bits()) == 4  # 2n-2 == kn-2 at k=2
         assert payload.to_bits() == base.bits
 
     def test_level_count_checked(self):
-        base = TreePayload(Bits.from_string("10"), 2)
+        base = TreePayload(bits("10"), 2)
         with pytest.raises(ValueError):
-            RefinePayload(4, base, (Bits.from_string("00"),))
+            RefinePayload(4, base, (bits("00"),))
 
     def test_level_width_checked(self):
-        base = TreePayload(Bits.from_string("10"), 2)
+        base = TreePayload(bits("10"), 2)
         with pytest.raises(ValueError):
-            RefinePayload(3, base, (Bits.from_string("000"),))
+            RefinePayload(3, base, (bits("000"),))
 
     def test_from_bits_round_trip(self):
         rng = random.Random(61)
@@ -119,17 +118,17 @@ class TestRefinePayload:
         rng = random.Random(67 + k)
         for n in (1, 2, 7, 8, 9, 17, 100):
             text = "".join(rng.choice("01") for _ in range(k * n - 2))
-            bits = Bits.from_string(text)
-            payload = RefinePayload.from_bits(bits, n, k)
+            stored = bits(text)
+            payload = RefinePayload.from_bits(stored, n, k)
             assert payload.base.bits.to01() == text[:2 * n - 2]
             assert [lv.to01() for lv in payload.levels] == [
                 text[2 * n - 2 + j * n:2 * n - 2 + (j + 1) * n]
                 for j in range(k - 2)]
-            assert payload.to_bits() == bits
+            assert payload.to_bits() == stored
 
     def test_from_bits_wrong_length(self):
         with pytest.raises(ValueError):
-            RefinePayload.from_bits(Bits.from_string("10100"), 2, 3)
+            RefinePayload.from_bits(bits("10100"), 2, 3)
 
 
 class TestCompressRefined:
@@ -165,8 +164,8 @@ class TestCompressRefined:
 
 class TestDecompressRefined:
     def test_marked_entry_doubles(self):
-        base = TreePayload(Bits.from_string("10"), 2)
-        payload = RefinePayload(3, base, (Bits.from_string("10"),))
+        base = TreePayload(bits("10"), 2)
+        payload = RefinePayload(3, base, (bits("10"),))
         q = decompress_refined(payload)
         assert tuple(q) == (Fraction(2, 3), Fraction(1, 3))
 
@@ -199,7 +198,7 @@ class TestDecompressRefined:
         base = encode_tree(StrictTreeShape((1, 2, 3, 3)))
         for marks in ("1111", "1010", "0001"):
             payload = RefinePayload(300, base,
-                                    (Bits.from_string(marks),) * 298)
+                                    (bits(marks),) * 298)
             want = fraction_decompress_refined(payload)
             assert tuple(decompress_refined(payload)) == want
             index = RefinedIndex(payload)

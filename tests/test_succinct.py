@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pdzip.bits import Bits
+from pdzip.bits import Bits, concat
 from pdzip.core import (
     ProbabilityDistribution,
     max_ratio,
@@ -21,7 +21,7 @@ from pdzip.treebuild import StrictTreeShape, ZeroProbabilityError, code_tree
 from pdzip.treecode import (MalformedPayloadError, TreePayload, decode_tree,
                             encode_tree)
 from conftest import floor_caps, ordered_tree_fits, random_tree_depths
-from naive import LinkedTree
+from naive import LinkedTree, bits
 
 
 def dist(*weights):
@@ -120,7 +120,7 @@ class TestNavigationExamples:
     # shape 1100100: root, left child internal, two leaves, right
     # child internal, two leaves
     def setup_method(self):
-        self.idx = SuccinctTreeIndex(Bits.from_string("1100100"), 4)
+        self.idx = SuccinctTreeIndex(bits("1100100"), 4)
 
     def test_children(self):
         assert self.idx.left_child(0) == 1
@@ -181,7 +181,7 @@ class TestOracleEquivalence:
             depths = random_tree_depths(rng, n)
             shape = StrictTreeShape(depths)
             idx = SuccinctTreeIndex.from_tree_shape(shape)
-            shape_bits = encode_tree(shape).bits + Bits.from_string("0")
+            shape_bits = concat([encode_tree(shape).bits, bits("0")])
             oracle = LinkedTree(shape_bits)
             assert idx.node_count == 2 * n - 1
             for v in range(2 * n - 1):
@@ -232,21 +232,21 @@ class TestConstruction:
             SuccinctTreeIndex.from_tree_shape(code_tree(dist(1, 0)))
 
     def test_from_payload(self):
-        payload = TreePayload(Bits.from_string("1010"), 3)
+        payload = TreePayload(bits("1010"), 3)
         idx = SuccinctTreeIndex.from_payload(payload)
         assert [idx.leaf_descent(i)[1] for i in (1, 2, 3)] == [1, 2, 2]
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
-            SuccinctTreeIndex(Bits.from_string("10"), 1)
+            SuccinctTreeIndex(bits("10"), 1)
         with pytest.raises(ValueError):
-            SuccinctTreeIndex(Bits.from_string("111"), 2)
+            SuccinctTreeIndex(bits("111"), 2)
 
     def test_malformed_payload_rejected(self):
         for bad in ("1111", "0010"):
             with pytest.raises(MalformedPayloadError):
                 SuccinctTreeIndex.from_payload(
-                    TreePayload(Bits.from_string(bad), 3))
+                    TreePayload(bits(bad), 3))
 
     def test_payload_check_matches_decoder(self):
         # the index accepts exactly the payloads decode_tree accepts and
@@ -274,7 +274,7 @@ def test_boundaries_match_linked_tree(depths):
     payload = encode_tree(StrictTreeShape(depths))
     idx = SuccinctTreeIndex.from_payload(payload)
     assert idx._B == block_size(n)
-    oracle = LinkedTree(payload.bits + Bits.from_string("0"))
+    oracle = LinkedTree(concat([payload.bits, bits("0")]))
     for i in range(1, n + 1):
         assert idx.leaf_descent(i) == (oracle.leaf_position(i),
                                        oracle.leaf_depth(i))
@@ -327,7 +327,7 @@ def test_descent_work_bound(monkeypatch):
     for name, depths in cases.items():
         payload = encode_tree(StrictTreeShape(depths))
         built.append((name, SuccinctTreeIndex.from_payload(payload),
-                      LinkedTree(payload.bits + Bits.from_string("0"))))
+                      LinkedTree(concat([payload.bits, bits("0")]))))
     calls = {"_fwdsearch": 0, "_bwdsearch": 0}
 
     def counted(name):

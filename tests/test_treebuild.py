@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -8,26 +7,35 @@ import pytest
 from pdzip import treebuild
 from pdzip.core import ProbabilityDistribution, max_ratio
 from pdzip.treebuild import (
-    Codeword,
     CodewordSetError,
     StrictTreeShape,
     ZeroProbabilityError,
     capped_tree,
     code_tree,
-    codeword,
     contract_to_strict,
     midpoints,
 )
 from conftest import ordered_tree_fits, random_distribution
-from naive import naive_contract, naive_leaf_depths, naive_trie
+from naive import (
+    fraction_code_tree,
+    fraction_codeword,
+    naive_code_tree_depths,
+    naive_codeword_length,
+    naive_codewords,
+    naive_contract,
+    naive_leaf_depths,
+    naive_trie,
+)
 
 
 def dist(*weights):
     return ProbabilityDistribution.from_weights([Fraction(w) for w in weights])
 
 
-def cw(s):
-    return Codeword(int(s, 2) if s else 0, len(s))
+def contract(*words):
+    """contract_to_strict of codewords spelled as 0/1 strings."""
+    return contract_to_strict([int(w, 2) if w else 0 for w in words],
+                              [len(w) for w in words])
 
 
 def midpoint_fractions(p):
@@ -61,18 +69,34 @@ class TestMidpoints:
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def codeword_of(mid, p):
-    # S = mid and p as Fractions, spelled as integers over one total
-    total = math.lcm(mid.denominator, p.denominator)
-    return codeword(mid.numerator * (2 * total // mid.denominator),
-                    p.numerator * (total // p.denominator), total)
+def symbol_at(mid, w, total):
+    """A distribution over `total` in which symbol i has weight w and
+    midpoint mid / 2total, and that index i."""
+    prefix = (mid - w) // 2
+    rest = total - prefix - w
+    return dist(*(x for x in (prefix, w, rest) if x)), int(prefix > 0)
+
+
+def assert_matches_references(p):
+    got = code_tree(p)
+    want = fraction_code_tree(p)
+    assert got.leaf_depths == want.leaf_depths == naive_code_tree_depths(p)
+    assert got.flags == want.flags
 
 
 class TestCodeword:
+    """code_tree's codeword formula, through the tree it builds, against
+    the Fraction formula and the bit-by-bit references."""
+
     def test_examples(self):
-        assert codeword(1, 1, 4).to01() == "001"
-        assert codeword(1, 1, 2).to01() == "01"
-        assert codeword(19, 1, 10).to01() == "11110"
+        for mid, w, total, word in ((1, 1, 4, "001"), (1, 1, 2, "01"),
+                                    (19, 1, 10, "11110")):
+            p, i = symbol_at(mid, w, total)
+            assert naive_codewords(p)[i] == word
+            assert fraction_codeword(Fraction(mid, 2 * total),
+                                     Fraction(w, total)) == (int(word, 2),
+                                                             len(word))
+            assert_matches_references(p)
 
     def test_length_rule(self):
         # length is the least L with 2^L >= 2/p
@@ -80,58 +104,73 @@ class TestCodeword:
         for _ in range(100):
             den = rng.randint(2, 10 ** 6)
             num = rng.randint(1, den - 1)
-            p = Fraction(num, den)
-            mid = Fraction(rng.randint(0, den - 1), den) + p / 2
-            if mid >= 1:
+            prob = Fraction(num, den)
+            start = rng.randint(0, den - 1)
+            if start + num > den:  # no distribution holds this interval
                 continue
-            c = codeword_of(mid, p)
-            assert Fraction(2) ** c.length >= 2 / p
-            assert Fraction(2) ** (c.length - 1) < 2 / p
+            length = fraction_codeword(Fraction(start, den) + prob / 2,
+                                       prob)[1]
+            assert length == naive_codeword_length(prob)
+            assert Fraction(2) ** length >= 2 / prob
+            assert Fraction(2) ** (length - 1) < 2 / prob
+            p, i = symbol_at(2 * start + num, num, den)
+            assert_matches_references(p)
+            assert Fraction(2) ** code_tree(p).leaf_depths[i] * prob < 4
 
     def test_value_is_truncation(self):
-        # codeword bits are the first L binary digits of the midpoint
-        c = codeword(5, 1, 4)
+        # codeword bits are the first L binary digits of the midpoint:
         # 5/8 = 0.101b, L = 3
-        assert c.to01() == "101"
-        assert c.bits == (1, 0, 1)
-        assert Fraction(c.value, 2 ** c.length) <= Fraction(5, 8)
+        p, i = symbol_at(5, 1, 4)
+        assert p == dist(2, 1, 1) and i == 1
+        assert naive_codewords(p)[i] == "101"
+        value, length = fraction_codeword(Fraction(5, 8), Fraction(1, 4))
+        assert (value, length) == (5, 3)
+        assert Fraction(value, 2 ** length) <= Fraction(5, 8)
+        assert_matches_references(p)
 
     def test_out_of_range_rejected(self):
+        # a zero weight has no codeword; every midpoint of a distribution
+        # lies in (0, 1), so code_tree never sees one out of range
+        p = dist(1, 0, 3)
+        with pytest.raises(ZeroProbabilityError):
+            code_tree(p)
         with pytest.raises(ValueError):
-            codeword(1, 0, 4)
+            fraction_code_tree(p)
         with pytest.raises(ValueError):
-            codeword(8, 1, 4)
+            naive_code_tree_depths(p)
 
 
 class TestContraction:
     def test_already_strict(self):
-        shape = contract_to_strict([cw("001"), cw("011"), cw("101"),
-                                    cw("111")])
+        shape = contract("001", "011", "101", "111")
         assert shape.leaf_depths == (2, 2, 2, 2)
 
     def test_depth_reduction(self):
-        shape = contract_to_strict([cw("01"), cw("11110")])
+        shape = contract("01", "11110")
         assert shape.leaf_depths == (1, 1)
 
     def test_mixed(self):
-        shape = contract_to_strict([cw("01"), cw("101"), cw("111")])
+        shape = contract("01", "101", "111")
         assert shape.leaf_depths == (1, 2, 2)
 
     def test_prefix_violation(self):
+        # 01, 010
         with pytest.raises(CodewordSetError):
-            contract_to_strict([cw("01"), cw("010")])
+            contract_to_strict([0b01, 0b010], [2, 3])
 
     def test_out_of_order(self):
+        # 10, 01
         with pytest.raises(CodewordSetError):
-            contract_to_strict([cw("10"), cw("01")])
+            contract_to_strict([0b10, 0b01], [2, 2])
 
     def test_duplicate(self):
+        # 01, 01
         with pytest.raises(CodewordSetError):
-            contract_to_strict([cw("01"), cw("01")])
+            contract_to_strict([0b01, 0b01], [2, 2])
 
     def test_empty(self):
         with pytest.raises(CodewordSetError):
-            contract_to_strict([])
+            contract_to_strict([], [])
 
     def test_every_sorted_set_of_short_codewords(self):
         # all 2^14 sets of distinct codewords of length 1..3, sorted: the
@@ -145,9 +184,9 @@ class TestContraction:
                 want = naive_leaf_depths(naive_contract(naive_trie(chosen)))
             except ValueError:
                 with pytest.raises(CodewordSetError):
-                    contract_to_strict([cw(w) for w in chosen])
+                    contract(*chosen)
             else:
-                got = contract_to_strict([cw(w) for w in chosen])
+                got = contract(*chosen)
                 assert got.leaf_depths == want, chosen
                 assert got.flags == StrictTreeShape(want).flags, chosen
 
@@ -197,9 +236,10 @@ class TestCappedTree:
                                zip(shape.leaf_depths, caps))
 
 
-def test_no_codeword_objects(monkeypatch):
-    # code_tree and capped_tree work on plain ints: with Codeword unusable
-    # they still return the same shapes
+def test_trees_contract_through_contract_to_strict(monkeypatch):
+    # the per-layer trace times the contraction by rebinding
+    # treebuild.contract_to_strict, so code_tree and capped_tree must look
+    # it up by that name: each tree built is one call, a refusal is none
     rng = random.Random(41)
     dists = [dist(1), dist(2, 1, 1)] + [random_distribution(rng, n)
                                         for n in (2, 50, 300)]
@@ -207,16 +247,21 @@ def test_no_codeword_objects(monkeypatch):
     caps = [(3, 2, 4, 4, 2), (3, 1, 2, 3)] + [
         tuple(d + rng.randint(0, 2) for d in code_tree(p).leaf_depths)
         for p in dists]
+    calls = []
+    real = treebuild.contract_to_strict
 
-    def shapes():
-        trees = [code_tree(p) for p in dists] + [capped_tree(c) for c in caps]
-        return [t and (t.leaf_depths, t.flags) for t in trees]
-    want = shapes()
-
-    def refuse(*args):
-        raise AssertionError("Codeword built")
-    monkeypatch.setattr(treebuild, "Codeword", refuse)
-    assert shapes() == want
+    def counting(values, lengths):
+        calls.append(len(values))
+        return real(values, lengths)
+    monkeypatch.setattr(treebuild, "contract_to_strict", counting)
+    for p in dists:
+        assert code_tree(p).leaf_depths == naive_code_tree_depths(p)
+        assert calls.pop() == p.n and not calls
+    for c in caps:
+        shape = capped_tree(c)
+        assert calls == ([len(c)] if shape else []), c
+        calls.clear()
+    assert capped_tree((3, 1, 2, 3)) is None
 
 
 class TestStrictTreeShape:

@@ -21,7 +21,7 @@ from pdzip.treecode import (
     implied_distribution,
 )
 from conftest import random_distribution, random_tree_depths
-from naive import LinkedTree, fraction_decompress_refined
+from naive import LinkedTree, bits, fraction_decompress_refined
 
 
 class TestEncode:
@@ -44,11 +44,11 @@ class TestEncode:
 
 class TestDecode:
     def test_examples(self):
-        assert decode_tree(TreePayload(Bits.empty(), 1)).leaf_depths == (0,)
+        assert decode_tree(TreePayload(Bits(), 1)).leaf_depths == (0,)
         assert decode_tree(
-            TreePayload(Bits.from_string("1010"), 3)).leaf_depths == (1, 2, 2)
+            TreePayload(bits("1010"), 3)).leaf_depths == (1, 2, 2)
         assert decode_tree(
-            TreePayload(Bits.from_string("1100"), 3)).leaf_depths == (2, 2, 1)
+            TreePayload(bits("1100"), 3)).leaf_depths == (2, 2, 1)
 
     def test_round_trip(self):
         rng = random.Random(43)
@@ -64,17 +64,17 @@ class TestDecode:
 
     def test_tree_closes_early(self):
         with pytest.raises(MalformedPayloadError):
-            decode_tree(TreePayload(Bits.from_string("0100"), 3))
+            decode_tree(TreePayload(bits("0100"), 3))
 
     def test_bits_run_out(self):
         with pytest.raises(MalformedPayloadError):
-            decode_tree(TreePayload(Bits.from_string("1110"), 3))
+            decode_tree(TreePayload(bits("1110"), 3))
 
     def test_payload_length_checked(self):
         with pytest.raises(MalformedPayloadError):
-            TreePayload(Bits.from_string("10"), 3)
+            TreePayload(bits("10"), 3)
         with pytest.raises(MalformedPayloadError):
-            TreePayload(Bits.from_string("1010"), 2)
+            TreePayload(bits("1010"), 2)
 
 
 def _tree_bits(n, rng, flip):
@@ -162,7 +162,7 @@ class TestDyadic:
         assert [str(x) for x in q.to_distribution().entries] == ["1/2", "1/4", "1/4"]
 
     def test_single(self):
-        q = implied_distribution(decode_tree(TreePayload(Bits.empty(), 1)))
+        q = implied_distribution(decode_tree(TreePayload(Bits(), 1)))
         assert list(q.to_distribution().entries) == [1]
 
 
