@@ -8,7 +8,7 @@ are zero.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 
 class Bits:

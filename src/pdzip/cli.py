@@ -16,8 +16,8 @@ import argparse
 import functools
 import sys
 from decimal import Decimal, localcontext
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import container as cont
 from .core import (
@@ -34,6 +34,7 @@ from .sparse import build_query_table, compress_sparse
 from .succinct import smooth
 from .treebuild import ZeroProbabilityError
 from .treecode import compress_tree
+
 
 class UsageError(Exception):
     """Command-line arguments that parse but do not make sense together."""
@@ -305,7 +306,7 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

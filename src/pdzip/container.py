@@ -21,11 +21,11 @@ query), or the sparse-queryable table itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Any, Callable, Optional
 
 from .bits import Bits
+from .core import Record
 from .refine import RefinePayload, RefinedIndex, decompress_refined
 from .sparse import (LOG2_PI2_3, SparsePayload, SparseQueryTable,
                      decompress_sparse, index_width, rank_width)
@@ -39,12 +39,12 @@ METHOD_REFINE = 0x02
 METHOD_SPARSE = 0x03
 METHOD_SPARSE_QUERYABLE = 0x04
 
+
 class ContainerFormatError(ValueError):
     """The byte stream is not a valid container."""
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(Record):
     """One codec as the container and the CLI see it.
 
     `params` names the header fields the method stores, in stored order.
@@ -67,15 +67,22 @@ class Method:
     of floats for the sparse forms.
     """
 
-    tag: int
-    name: str
-    params: tuple[str, ...]
-    payload_bits: Callable[..., int]
-    formula: str
-    payload_type: type
-    values: Callable[[Any], Any]
-    index: Optional[Callable[[Any], Any]]
-    bounds: Callable[..., tuple[str, Optional[str]]]
+    __slots__ = _compared = ("tag", "name", "params", "payload_bits", "formula",
+                             "payload_type", "values", "index", "bounds")
+
+    def __init__(self, tag: int, name: str, params: tuple[str, ...],
+                 payload_bits: Callable[..., int], formula: str, payload_type: type,
+                 values: Callable, index: Callable | None,
+                 bounds: Callable[..., tuple[str, str | None]]) -> None:
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "payload_bits", payload_bits)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "payload_type", payload_type)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "bounds", bounds)
 
 
 def _refined_bounds(k: int) -> tuple[str, str]:
@@ -175,21 +182,22 @@ def _check(method: int, n: int, params: dict) -> Method:
     return spec
 
 
-@dataclass(frozen=True)
-class Container:
-    method: int
-    n: int
-    payload: Bits
-    k: Optional[int] = None
-    c: Optional[Fraction] = None
-    t: Optional[int] = None
+class Container(Record):
+    __slots__ = _compared = ("method", "n", "payload", "k", "c", "t")
 
-    def __post_init__(self) -> None:
-        spec = _check(self.method, self.n, {"k": self.k, "c": self.c, "t": self.t})
-        want = spec.payload_bits(self.n, *self.params)
-        if len(self.payload) != want:
+    def __init__(self, method: int, n: int, payload: Bits, k: int | None = None,
+                 c: Fraction | None = None, t: int | None = None) -> None:
+        spec = _check(method, n, {"k": k, "c": c, "t": t})
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "t", t)
+        want = spec.payload_bits(n, *self.params)
+        if len(payload) != want:
             raise ContainerFormatError(
-                f"payload is {len(self.payload)} bits, method requires {want}")
+                f"payload is {len(payload)} bits, method requires {want}")
 
     @property
     def spec(self) -> Method:
@@ -267,7 +275,7 @@ container_for_tree = container_for_refined = container_for
 container_for_sparse = container_for_query_table = container_for
 
 
-def _payload_of(tag: int) -> Callable[[Container], Any]:
+def _payload_of(tag: int) -> Callable[[Container], object]:
     def payload_of(container: Container):
         if container.method != tag:
             raise ContainerFormatError(

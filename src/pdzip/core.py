@@ -29,8 +29,8 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from collections.abc import Sequence
 from itertools import repeat
-from typing import Sequence, Union
 
 
 class DistributionError(ValueError):
@@ -55,7 +55,36 @@ def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
     return [num * (den // d) for num, d in ratios], den
 
 
-class ProbabilityDistribution:
+class Record:
+    """An immutable slotted record.  `_compared` names the fields that ==,
+    hash and repr read: its constructor's positional parameters, in order,
+    so copy and pickle rebuild it through the constructor and its checks."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        return (self._values() == other._values()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ProbabilityDistribution(Record):
     """A distribution over symbols 1..n: p_i = weights[i] / total.
 
     The weights are non-negative integers in lowest terms (their gcd is
@@ -119,7 +148,7 @@ class ProbabilityDistribution:
         return dist
 
     @classmethod
-    def from_weights(cls, weights: Sequence[Union[int, float, Fraction, Decimal]]
+    def from_weights(cls, weights: Sequence[int | float | Fraction | Decimal]
                      ) -> "ProbabilityDistribution":
         """Normalize non-negative weights by their exact sum.
 
@@ -158,9 +187,6 @@ class ProbabilityDistribution:
         dist = object.__new__(cls)
         dist._init(tuple(ints), sum(ints))
         return dist
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return (ProbabilityDistribution._exact, (self.weights, self.total))

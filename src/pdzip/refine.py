@@ -23,31 +23,30 @@ ones, so it builds each value once per distinct exponent, not per symbol.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import Bits, concat
-from .core import DistributionError, ProbabilityDistribution
+from .core import DistributionError, ProbabilityDistribution, Record
 from .treebuild import ZeroProbabilityError, code_tree
 from .treecode import TreePayload, decode_tree, encode_tree
 
 
-@dataclass(frozen=True)
-class RefinePayload:
+class RefinePayload(Record):
     """Tree payload plus one n-bit doubling vector per level 3..k."""
 
-    k: int
-    base: TreePayload
-    levels: tuple[Bits, ...]
+    __slots__ = _compared = ("k", "base", "levels")
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    def __init__(self, k: int, base: TreePayload, levels: tuple[Bits, ...]) -> None:
+        if k < 2:
             raise ValueError("k must be at least 2")
-        if len(self.levels) != self.k - 2:
-            raise ValueError(f"expected {self.k - 2} level vectors")
-        for lv in self.levels:
-            if len(lv) != self.base.n:
+        if len(levels) != k - 2:
+            raise ValueError(f"expected {k - 2} level vectors")
+        for lv in levels:
+            if len(lv) != base.n:
                 raise ValueError("level vector length must equal n")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def n(self) -> int:

@@ -15,33 +15,31 @@ integer threshold on the weights, found by an integer root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .bits import Bits, concat
-from .core import DistributionError, ProbabilityDistribution
+from .core import DistributionError, ProbabilityDistribution, Record
 
 # the constant in the bound D(P||Q) <= c*H(P) + log2(pi^2/3)
 LOG2_PI2_3 = math.log2(math.pi ** 2 / 3)
 
 
-@dataclass(frozen=True)
-class ApproxDistribution:
+class ApproxDistribution(Record):
     """A distribution carried in floats, summing to 1 within 1e-9."""
 
-    entries: tuple[float, ...]
+    __slots__ = _compared = ("entries",)
 
-    def __post_init__(self) -> None:
-        if len(self.entries) == 0:
+    def __init__(self, entries: tuple[float, ...]) -> None:
+        if len(entries) == 0:
             raise DistributionError("a distribution needs at least one entry")
         total = 0.0
-        for p in self.entries:
+        for p in entries:
             if not 0.0 <= p <= 1.0:
                 raise DistributionError("probability outside [0, 1]")
             total += p
         if abs(total - 1.0) > 1e-9:
             raise DistributionError(f"probabilities sum to {total}, not 1")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
@@ -86,28 +84,28 @@ def rank_width(n: int, c: Fraction) -> int:
     return f + 1
 
 
-@dataclass(frozen=True)
-class SparsePayload:
+class SparsePayload(Record):
     """Heavy symbol indices (1-based), heaviest first.
 
     The serialized form stores each index 0-based in floor(log2 n)+1 bits.
     """
 
-    n: int
-    c: Fraction
-    heavy_indices: tuple[int, ...]
+    __slots__ = _compared = ("n", "c", "heavy_indices")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, c: Fraction, heavy_indices: tuple[int, ...]) -> None:
+        if n < 1:
             raise DistributionError("n must be at least 1")
-        _validate_c(self.c)
+        _validate_c(c)
         seen = set()
-        for r in self.heavy_indices:
-            if not 1 <= r <= self.n:
+        for r in heavy_indices:
+            if not 1 <= r <= n:
                 raise DistributionError(f"heavy index {r} out of range")
             if r in seen:
                 raise DistributionError(f"duplicate heavy index {r}")
             seen.add(r)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "heavy_indices", heavy_indices)
 
     @property
     def t(self) -> int:
@@ -127,8 +125,7 @@ class SparsePayload:
         return cls(n, Fraction(c), indices)
 
 
-@dataclass(frozen=True)
-class SparseQueryTable:
+class SparseQueryTable(Record):
     """(index, rank) pairs sorted by index, for point queries.
 
     The serialized form stores, per pair, the 0-based index in
@@ -138,21 +135,18 @@ class SparseQueryTable:
     made and kept in `rank_values`, so a lookup only searches.
     """
 
-    n: int
-    c: Fraction
-    pairs: tuple[tuple[int, int], ...]
-    rank_values: tuple[tuple[float, ...], Optional[float]] = field(
-        init=False, repr=False, compare=False)
+    __slots__ = ("n", "c", "pairs", "rank_values")
+    _compared = ("n", "c", "pairs")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, c: Fraction, pairs: tuple[tuple[int, int], ...]) -> None:
+        if n < 1:
             raise DistributionError("n must be at least 1")
-        _validate_c(self.c)
-        t = len(self.pairs)
+        _validate_c(c)
+        t = len(pairs)
         prev = 0
         ranks = set()
-        for idx, rank in self.pairs:
-            if not 1 <= idx <= self.n:
+        for idx, rank in pairs:
+            if not 1 <= idx <= n:
                 raise DistributionError(f"index {idx} out of range")
             if idx <= prev:
                 raise DistributionError("pair indices must be strictly increasing")
@@ -162,7 +156,10 @@ class SparseQueryTable:
             ranks.add(rank)
         if len(ranks) != t:
             raise DistributionError("ranks must be a permutation of 1..t")
-        object.__setattr__(self, "rank_values", _rank_values(self.n, t))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "rank_values", _rank_values(n, t))
 
     @property
     def t(self) -> int:
@@ -229,7 +226,7 @@ def _heavy_value(rank: int) -> float:
     return 3.0 / (math.pi * rank) ** 2
 
 
-def _rank_values(n: int, t: int) -> tuple[tuple[float, ...], Optional[float]]:
+def _rank_values(n: int, t: int) -> tuple[tuple[float, ...], float | None]:
     """(q of heavy ranks 1..t, q of every light symbol).
 
     Heavy rank j gets 3/(pi*j)^2 and the light symbols share the

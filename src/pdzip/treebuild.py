@@ -33,9 +33,9 @@ checking walk that StrictTreeShape(depths) does.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate
 from operator import add, sub
-from typing import Sequence
 
 from .core import DistributionError, ProbabilityDistribution
 from .treecode import StrictTreeShape

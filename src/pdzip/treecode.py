@@ -18,18 +18,15 @@ once per depth, not once per leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bits import Bits
-from .core import ProbabilityDistribution
+from .core import ProbabilityDistribution, Record
 
 
 class MalformedPayloadError(ValueError):
     """Payload bits do not describe a strict binary tree."""
 
 
-@dataclass(frozen=True)
-class StrictTreeShape:
+class StrictTreeShape(Record):
     """Left-to-right leaf depths of a strict binary tree.
 
     Validity means the sequence is realizable in this order by some strict
@@ -38,11 +35,12 @@ class StrictTreeShape:
     its 2n-1 preorder flags, most significant first, in `flags`.
     """
 
-    leaf_depths: tuple[int, ...]
-    flags: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("leaf_depths", "flags")
+    _compared = ("leaf_depths",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flags", _preorder_flags(self.leaf_depths))
+    def __init__(self, leaf_depths: tuple[int, ...]) -> None:
+        object.__setattr__(self, "leaf_depths", leaf_depths)
+        object.__setattr__(self, "flags", _preorder_flags(leaf_depths))
 
     @classmethod
     def _trusted(cls, depths: tuple[int, ...], flags: int) -> "StrictTreeShape":
@@ -75,20 +73,19 @@ def _preorder_flags(depths: tuple[int, ...]) -> int:
     return int("".join(runs), 2)
 
 
-@dataclass(frozen=True)
-class TreePayload:
+class TreePayload(Record):
     """The stored form of a strict tree: 2n-2 preorder node-kind bits."""
 
-    bits: Bits
-    n: int
+    __slots__ = _compared = ("bits", "n")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, bits: Bits, n: int) -> None:
+        if n < 1:
             raise MalformedPayloadError("leaf count must be at least 1")
-        if len(self.bits) != 2 * self.n - 2:
+        if len(bits) != 2 * n - 2:
             raise MalformedPayloadError(
-                f"expected {2 * self.n - 2} bits for n={self.n}, "
-                f"got {len(self.bits)}")
+                f"expected {2 * n - 2} bits for n={n}, got {len(bits)}")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "n", n)
 
     def to_bits(self) -> Bits:
         return self.bits
@@ -98,11 +95,13 @@ class TreePayload:
         return cls(bits, n)
 
 
-@dataclass(frozen=True)
-class DyadicDistribution:
+class DyadicDistribution(Record):
     """The distribution 2^{-d_i} implied by strict-tree leaf depths."""
 
-    depth_exponents: tuple[int, ...]
+    __slots__ = _compared = ("depth_exponents",)
+
+    def __init__(self, depth_exponents: tuple[int, ...]) -> None:
+        object.__setattr__(self, "depth_exponents", depth_exponents)
 
     def to_distribution(self) -> ProbabilityDistribution:
         """Weights 2^(top - d_i) over 2^top, top the deepest leaf's depth.

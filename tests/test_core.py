@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -410,3 +412,43 @@ class TestLogHelpers:
             # smallest e with 2^e >= a/b, checked exactly
             assert Fraction(2) ** e >= Fraction(a, b)
             assert Fraction(2) ** (e - 1) < Fraction(a, b)
+
+
+def _records():
+    """One instance of each record class, and of ProbabilityDistribution."""
+    from pdzip.container import Method, container_for
+    from pdzip.refine import compress_refined
+    from pdzip.sparse import build_query_table, decompress_sparse, select_heavy
+    from pdzip.treecode import (DyadicDistribution, StrictTreeShape,
+                                encode_tree)
+
+    p = ProbabilityDistribution.from_weights([3, 1, 2, 2])
+    shape = StrictTreeShape((1, 2, 2))
+    heavy = select_heavy(p, Fraction(1))
+    table = build_query_table(heavy)
+    # the METHODS records hold lambdas, which pickle cannot send
+    method = Method(tag=9, name="m", params=(), payload_bits=abs, formula="n",
+                    payload_type=int, values=repr, index=None, bounds=max)
+    return [p, shape, encode_tree(shape), DyadicDistribution((1, 2, 2)),
+            compress_refined(p, 4), decompress_sparse(heavy), heavy, table,
+            method, container_for(table)]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_copy_pickle_and_stay_immutable(record):
+    # a slotted class whose __setattr__ raises unpickles only through a
+    # __reduce__ of its own
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+        assert type(twin) is type(record)
+        assert twin == record
+        assert hash(twin) == hash(record)
+    # ProbabilityDistribution keeps its own ==, hash, repr and __reduce__
+    name = ("weights" if isinstance(record, ProbabilityDistribution)
+            else record._compared[0])
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    text = repr(record)
+    assert text.startswith(type(record).__name__)
+    assert "flags" not in text and "rank_values" not in text
