@@ -7,13 +7,17 @@ the method's record in container.METHODS; `compress` alone branches on
 the method, for its options.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable file, bad
-container, zero probabilities without --epsilon, index out of range).
+container, zero probabilities without --epsilon, index out of range), 141
+when the reader of stdout closed it early (`pdzip stats ... | head -1`),
+as for a command that SIGPIPE ends; stdout then goes to the null device,
+so the exit has nothing left to flush into the closed pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from decimal import Decimal, localcontext
 from collections.abc import Sequence
@@ -312,7 +316,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UsageError as exc:
         print(f"pdzip: error: {exc}", file=sys.stderr)
         return 1

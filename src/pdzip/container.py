@@ -188,16 +188,28 @@ class Container(Record):
     def __init__(self, method: int, n: int, payload: Bits, k: int | None = None,
                  c: Fraction | None = None, t: int | None = None) -> None:
         spec = _check(method, n, {"k": k, "c": c, "t": t})
+        self._set(method, n, payload, k, c, t)
+        want = spec.payload_bits(n, *self.params)
+        if len(payload) != want:
+            raise ContainerFormatError(
+                f"payload is {len(payload)} bits, method requires {want}")
+
+    def _set(self, method, n, payload, k, c, t) -> None:
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "t", t)
-        want = spec.payload_bits(n, *self.params)
-        if len(payload) != want:
-            raise ContainerFormatError(
-                f"payload is {len(payload)} bits, method requires {want}")
+
+    @classmethod
+    def _trusted(cls, method: int, n: int, payload: Bits, k: int | None = None,
+                 c: Fraction | None = None, t: int | None = None) -> "Container":
+        """Trusted: header fields that _check accepts and a payload of the
+        method's exact length, as unpack has checked them."""
+        box = object.__new__(cls)
+        box._set(method, n, payload, k, c, t)
+        return box
 
     @property
     def spec(self) -> Method:
@@ -258,7 +270,7 @@ def unpack(data: bytes) -> Container:
         payload = Bits(bytes(payload_bytes), bit_length)
     except ValueError as exc:
         raise ContainerFormatError(f"payload padding: {exc}") from None
-    return Container(spec.tag, n, payload, **params)
+    return Container._trusted(spec.tag, n, payload, **params)
 
 
 # ----------------------------------------------------------------------

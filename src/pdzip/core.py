@@ -18,15 +18,16 @@ The measures make one pass over their arguments and build no
 per-symbol list.  A distribution is read as its integer weights over
 its total and a sequence (Fractions, floats or ints) entry by entry,
 both as exact (numerator, denominator) pairs, and D(P||Q) sums one
-term per symbol, in symbol order.  Given two distributions, the
-max ratio keeps the largest p weight per distinct q weight, so it
-compares one candidate per class.
+term per symbol, in symbol order.  The max ratio compares one candidate
+per distinct weight of a q distribution, or per run of equal entries of
+a q sequence, whose repeats a decoder shares as one object.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from collections.abc import Sequence
@@ -259,11 +260,17 @@ def parse_distribution(text: str) -> ProbabilityDistribution:
     if not numerals:
         raise DistributionError("no weights in input")
     if decimals:
-        split = [line.partition(".") for line in numerals]
-        places = max(len(frac) for _, _, frac in split)
-        weights = [int(whole + frac.ljust(places, "0")) for whole, _, frac in split]
-    else:
+        places = max(len(line.partition(".")[2]) for line in numerals)
+        numerals = [whole + frac.ljust(places, "0")
+                    for whole, _, frac in (line.partition(".") for line in numerals)]
+    try:
         weights = list(map(int, numerals))
+    except ValueError as exc:  # only a numeral past int()'s digit limit
+        lines = (lineno for lineno, raw in enumerate(text.splitlines(), start=1)
+                 if raw.strip()[:1] not in ("", "#"))
+        lineno = next(n for n, digits in zip(lines, numerals)
+                      if len(digits) > sys.get_int_max_str_digits())
+        raise DistributionError(f"line {lineno}: {exc}") from None
     total = sum(weights)
     if total == 0:
         raise DistributionError("weights sum to zero")
@@ -314,14 +321,17 @@ def _log2_ratio(num: int, den: int) -> float:
 
 
 def entropy(dist: DistributionLike) -> float:
-    """H(P) = sum p_i log2(1/p_i) in bits, with 0 log 0 = 0."""
+    """H(P) = sum p_i log2(1/p_i) in bits, with 0 log 0 = 0.  Above 2^-1022,
+    correct rounding commutes with exact scaling by 2^-shift, so for |shift| > 1
+    ldexp(pf, -shift) is bit for bit the quotient _log2_ratio(num, den) divides."""
     total = 0.0
     for num, den in _ratios(dist):
         if num:
             pf = num / den
-            # a value too small for float has an entropy term that
-            # underflows too
-            if pf:
+            shift = num.bit_length() - den.bit_length()
+            if abs(shift) > 1 and pf > 2.0 ** -1022:
+                total -= pf * (shift + math.log2(math.ldexp(pf, -shift)))
+            elif pf:  # a p_i too small for float has a term that underflows
                 total -= pf * _log2_ratio(num, den)
     return total
 
@@ -342,6 +352,22 @@ def relative_entropy(p_dist: DistributionLike, q_dist: DistributionLike) -> floa
         if pf:
             total += pf * _log2_ratio(pn * qd, pd * qn)
     return total
+
+
+def _run_maxima(weights, q_values):
+    """(w * q_den, q_num) for the largest w > 0 of each run of equal q_i."""
+    last = run = top = None
+    for w, q in zip(weights, q_values):
+        if q is not last:
+            last, q = q, q.as_integer_ratio()
+            if q != run:
+                if top:
+                    yield top * run[1], run[0]
+                run, top = q, w
+        if w > top:
+            top = w
+    if top:
+        yield top * run[1], run[0]
 
 
 def max_ratio(p_dist: DistributionLike, q_dist: DistributionLike):
@@ -365,8 +391,7 @@ def max_ratio(p_dist: DistributionLike, q_dist: DistributionLike):
             q_total = q_dist.total
             ratios = ((w * q_total, u) for u, w in most.items())
         else:
-            ratios = ((w * qd, qn) for w, (qn, qd)
-                      in zip(p_dist.weights, _ratios(q_dist)) if w)
+            ratios = _run_maxima(p_dist.weights, q_dist)
     else:
         shared = 1
         ratios = ((pn * qd, pd * qn) for (pn, pd), (qn, qd)

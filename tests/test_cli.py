@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -460,6 +461,14 @@ class TestCorruption:
                     assert stdout == ""
                     assert "pdzip: error:" in stderr and "tree" in stderr
 
+    def test_numeral_past_the_digit_limit_is_a_data_error(self, tmp_path, capsys):
+        src = tmp_path / "p.txt"
+        src.write_text("1\n2\n" + "9" * 5000 + "\n")
+        code, stdout, stderr = run(capsys, "compress", "--method", "tree",
+                                   str(src), str(tmp_path / "p.pdz"))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("pdzip: error: line 3: ")
+
     def test_truncated_file(self, tmp_path, capsys):
         src = write_dist(tmp_path / "p.txt", [1, 1, 1, 1])
         box = tmp_path / "p.pdz"
@@ -480,6 +489,26 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "payload_bits=2" in proc.stdout
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_ends_quietly(self, tmp_path, unbuffered):
+        # a reader that exits early (`pdzip stats ... | head -1`) is not a
+        # data error; with its end closed before the call starts, the
+        # write or the final flush meets a broken pipe whatever the timing
+        src = write_dist(tmp_path / "p.txt", [3, 1, 1, 1])
+        box = str(tmp_path / "p.pdz")
+        assert main(["compress", "--method", "tree", src, box]) == 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pdzip", "stats", "--original", src,
+                 "--compressed", box],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys)

@@ -100,6 +100,23 @@ class TestPackUnpack:
             refine_payload(box)
 
 
+def test_unpack_checks_the_header_once(monkeypatch):
+    import pdzip.container as cont
+    calls = []
+    check = cont._check
+    monkeypatch.setattr(cont, "_check", lambda *a: calls.append(a) or check(*a))
+    p = dist(13, 1, 1, 1)
+    heavy = select_heavy(p, Fraction(1))
+    for payload in (compress_tree(p), compress_refined(p, 4), heavy,
+                    build_query_table(heavy)):
+        box = container_for(payload)
+        data = box.pack()
+        calls.clear()
+        again = unpack(data)
+        assert len(calls) == 1
+        assert again == box and again.pack() == data
+
+
 class TestRejects:
     def make(self):
         return container_for_tree(compress_tree(dist(1, 1, 1, 1))).pack()

@@ -2,9 +2,11 @@ import copy
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,36 @@ class TestParsing:
     def test_empty_rejected(self):
         with pytest.raises(DistributionError):
             parse_distribution("# nothing\n")
+
+    def test_numeral_past_the_digit_limit_names_its_line(self, digit_limit):
+        with pytest.raises(DistributionError, match=r"^line 3: .*5000 digits"):
+            parse_distribution("1\n2\n" + "9" * 5000)
+        # the first refused line, counting comments and blanks
+        with pytest.raises(DistributionError, match=r"^line 4: .*4301 digits"):
+            parse_distribution("# w\n1\n\n" + "7" * 4301 + "\n" + "8" * 6000)
+        assert parse_distribution("1\n" + "9" * digit_limit).n == 2
+
+    def test_decimal_past_the_digit_limit_names_its_line(self, digit_limit):
+        # a decimal is read as an integer over the largest power of ten any
+        # line needs, so a short line can be the first one int() refuses
+        with pytest.raises(DistributionError, match=r"^line 1: .*4301 digits"):
+            parse_distribution("2\n0." + "1" * digit_limit)
+        with pytest.raises(DistributionError, match=r"^line 3: .*4302 digits"):
+            parse_distribution("0.5\n\n" + "1" * (digit_limit + 1))
+        assert parse_distribution("0.5\n" + "1" * (digit_limit - 1)).n == 2
+
+
+@pytest.fixture
+def digit_limit():
+    """int()'s digit limit, set to its default of 4300 for the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestEntropy:
@@ -367,6 +399,164 @@ class TestMeasuresOnWeights:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_measures_stream_a_shared_fraction_sequence(self):
+        # Q as a decoder gives it: one Fraction object per distinct value
+        rng = random.Random(29)
+        n = 10 ** 5
+        p = ProbabilityDistribution.from_weights(
+            [rng.randint(0, 10 ** 6) for _ in range(n)])
+        q = ProbabilityDistribution.from_weights(
+            [1 << rng.randint(0, 6) for _ in range(n)])
+        shared = {u: Fraction(u, q.total) for u in set(q.weights)}
+        seq = tuple(shared[u] for u in q.weights)
+        tracemalloc.start()
+        try:
+            entropy(seq)
+            relative_entropy(p, seq)
+            max_ratio(p, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _per_term_entropy(seq):
+    """H as the sum of -(num/den) * _log2_ratio(num, den) over the exact
+    ratios, in order: the arithmetic each term had with two divisions."""
+    total = 0.0
+    for num, den in seq:
+        if num and num / den:
+            total -= num / den * _log2_ratio(num, den)
+    return total
+
+
+# p_i a few ulps either side of 2^-1022, the smallest normal float, exact
+# or not quite; and subnormal p_i
+_NEAR_TINY = st.builds(
+    lambda k, r, odd: Fraction((((1 << 52) + k) * odd) + r, odd << 1074),
+    st.integers(-8, 8), st.integers(-1, 1), st.sampled_from((1, 3, 1023)))
+_SUBNORMAL = st.builds(lambda m, e: Fraction(m, 1 << e),
+                       st.integers(1, 1 << 60), st.integers(1074, 1140))
+_HUGE = st.builds(lambda num, extra: Fraction(num, num + extra),
+                  st.integers(1, 1 << 3000), st.integers(0, 1 << 3000))
+_ENTRY = st.one_of(st.just(Fraction(0)), _NEAR_TINY, _SUBNORMAL, _HUGE,
+                   st.floats(0, 4.0), st.builds(Fraction, st.integers(0, 9),
+                                                st.integers(1, 9)))
+
+
+class TestEntropyTerms:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_ENTRY, min_size=1, max_size=12))
+    def test_sequence_entropy_is_the_per_term_sum(self, seq):
+        want = _per_term_entropy(x.as_integer_ratio() for x in seq)
+        assert entropy(seq) == want
+        assert entropy([float(x) for x in seq]) == _per_term_entropy(
+            float(x).as_integer_ratio() for x in seq)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 1 << 3000)),
+                    min_size=1, max_size=12).filter(any))
+    def test_weights_entropy_is_the_per_term_sum(self, weights):
+        p = ProbabilityDistribution.from_weights(weights)
+        assert entropy(p) == _per_term_entropy(zip(p.weights, repeat(p.total)))
+
+    def test_the_smallest_normal_float_on_both_sides(self):
+        # p_i that round to 2^-1022 from either side (the ties included),
+        # which go through _log2_ratio, and the next floats up, which do not
+        tiny = 1 << 1022
+        for p in (Fraction(1, tiny), Fraction(1, tiny - 1), Fraction(1, tiny + 1),
+                  Fraction((1 << 53) - 1, tiny << 53),
+                  Fraction((1 << 53) + 1, tiny << 53),
+                  Fraction((1 << 52) + 1, tiny << 52),
+                  Fraction(3 * (1 << 52) + 4, 3 * (tiny << 52))):
+            assert entropy([p]) == _per_term_entropy([p.as_integer_ratio()])
+            assert abs(float(p) - 2.0 ** -1022) <= 2.0 ** -1073
+
+
+def _brute_max_ratio(p, q):
+    """max of Fraction p_i/q_i over p_i > 0; a float if q holds a float."""
+    best = None
+    for w, x in zip(p.weights, q):
+        if w:
+            if not x:
+                raise InfiniteDivergenceError("q_i = 0 with p_i > 0")
+            ratio = Fraction(w, p.total) / Fraction(x)
+            if best is None or ratio > best:
+                best = ratio
+    if best is None:
+        raise DistributionError("no positive entries")
+    return float(best) if any(isinstance(x, float) for x in q) else best
+
+
+_Q_VALUE = st.one_of(st.just(Fraction(0)), st.builds(
+    Fraction, st.integers(1, 1 << 90), st.integers(1, 1 << 90)))
+
+
+@st.composite
+def _runs_of_q(draw):
+    """A q sequence in runs of equal values.  Within a run the entries are
+    one shared object, as a decoder gives them, or equal copies; floats
+    now and then."""
+    out = []
+    for value, length in draw(st.lists(st.tuples(_Q_VALUE, st.integers(1, 12)),
+                                       min_size=1, max_size=6)):
+        if draw(st.booleans()):
+            value = float(value)
+        if draw(st.booleans()):
+            out += [value] * length
+        else:
+            out += [type(value)(value) for _ in range(length)]
+    return out
+
+
+def _p_for(draw, n):
+    return ProbabilityDistribution.from_weights(draw(
+        st.lists(_WEIGHT, min_size=n, max_size=n).filter(any)))
+
+
+class TestMaxRatioOnSequences:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_runs_match_the_brute_force_maximum(self, data):
+        q = data.draw(_runs_of_q())
+        p = _p_for(data.draw, len(q))
+        assert _outcome(max_ratio, p, q) == _outcome(_brute_max_ratio, p, q)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_distinct_q_match_the_brute_force_maximum(self, data):
+        q = data.draw(st.lists(_Q_VALUE, min_size=1, max_size=30, unique=True))
+        if data.draw(st.booleans()):
+            q = [float(x) for x in q]
+        p = _p_for(data.draw, len(q))
+        assert _outcome(max_ratio, p, q) == _outcome(_brute_max_ratio, p, q)
+
+    def test_long_runs_match_the_brute_force_maximum(self):
+        rng = random.Random(37)
+        values = [Fraction(1, 1 << d) for d in range(1, 12)] + [0.001, 0.25]
+        for _ in range(20):
+            q = []
+            while len(q) < 3000:
+                q += [rng.choice(values)] * rng.randint(1, 700)
+            p = ProbabilityDistribution.from_weights(
+                [rng.choice((0, rng.randint(1, 1 << 70))) for _ in q])
+            assert _outcome(max_ratio, p, q) == _outcome(_brute_max_ratio, p, q)
+
+    def test_types_and_errors(self):
+        p = dist(0, 3, 1, 0)
+        half = Fraction(1, 2)
+        for q, kind in (([half, half, Fraction(1, 8), half], Fraction),
+                        ([0.5, 0.5, 0.125, 0.5], float),
+                        ([half, half, 0.125, half], float)):
+            ratio = max_ratio(p, q)
+            assert ratio == 2 and type(ratio) is kind
+        # a zero q_i under a zero p_i is fine, under a positive one is not
+        assert max_ratio(p, [0, half, half, 0]) == Fraction(3, 2)
+        with pytest.raises(InfiniteDivergenceError):
+            max_ratio(p, [half, half, 0.0, 0.0])
+        with pytest.raises(InfiniteDivergenceError):
+            max_ratio(p, [half, 0, 0, 0])
 
 
 class TestLogHelpers:
