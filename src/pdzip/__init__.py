@@ -30,7 +30,6 @@ from .sparse import (
     SparsePayload,
     SparseQueryTable,
     build_query_table,
-    compress_sparse,
     decompress_sparse,
     select_heavy,
 )
@@ -81,8 +80,8 @@ __all__ = [
     "build_query_table",
     "build_smoothed",
     "code_tree",
+    "compress",
     "compress_refined",
-    "compress_sparse",
     "compress_tree",
     "concat",
     "contract_to_strict",
@@ -100,3 +99,11 @@ __all__ = [
     "select_heavy",
     "smooth",
 ]
+
+
+def __getattr__(name: str):
+    # `compress` loads the codec records on first use, not with `import pdzip`
+    if name == "compress":
+        from .container import compress
+        return compress
+    raise AttributeError(f"module 'pdzip' has no attribute {name!r}")

@@ -2,12 +2,12 @@
 
 Input distributions are text files with one weight per line (blank lines
 and '#' comments ignored); weights are normalized by their exact sum.
-Every command but `compress` reads what differs between methods from
-the method's record in container.METHODS; `compress` alone branches on
-the method, for its options.
+Every command reads what differs between methods, `compress` its options
+too, from the method's record in container.METHODS.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable file, bad
-container, zero probabilities without --epsilon, index out of range), 141
+container, zero probabilities without --epsilon, index out of range, more
+probabilities to decompress than memory holds), 141
 when the reader of stdout closed it early (`pdzip stats ... | head -1`),
 as for a command that SIGPIPE ends; stdout then goes to the null device,
 so the exit has nothing left to flush into the closed pipe.
@@ -33,11 +33,6 @@ from .core import (
     parse_distribution,
     relative_entropy,
 )
-from .refine import compress_refined
-from .sparse import build_query_table, compress_sparse
-from .succinct import smooth
-from .treebuild import ZeroProbabilityError
-from .treecode import compress_tree
 
 
 class UsageError(Exception):
@@ -167,12 +162,6 @@ def _read_container(path: str) -> cont.Container:
         return cont.unpack(fh.read())
 
 
-def _decode_values(container: cont.Container):
-    """The stored distribution: exact weights for tree and refine, floats
-    for the sparse forms."""
-    return container.spec.values(container.open())
-
-
 def _lines(dist, digits: int) -> str:
     """One formatted line per symbol, in symbol order.
 
@@ -193,16 +182,17 @@ def _lines(dist, digits: int) -> str:
 # ----------------------------------------------------------------------
 # commands
 
+_APPLIES_TO = {"k": "--method refine", "c": "the sparse methods",
+               "epsilon": "tree and refine"}
+
+
 def cmd_compress(args) -> int:
-    method = args.method
-    if method != "refine" and args.k is not None:
-        raise UsageError("--k applies only to --method refine")
-    if method in ("tree", "refine"):
-        if args.c is not None:
-            raise UsageError("--c applies only to the sparse methods")
-    else:
-        if args.epsilon is not None:
-            raise UsageError("--epsilon applies only to tree and refine")
+    spec = cont.method_named(args.method)
+    options = {name: getattr(args, name) for name in _APPLIES_TO
+               if getattr(args, name) is not None}
+    for name in options:
+        if name not in spec.options:
+            raise UsageError(f"--{name} applies only to {_APPLIES_TO[name]}")
     if args.epsilon is not None and args.epsilon <= 0:
         raise UsageError("--epsilon must be positive")
     # the header stores k in 2 bytes
@@ -211,27 +201,11 @@ def cmd_compress(args) -> int:
     if args.c is not None and args.c < 1:
         raise UsageError("--c must be at least 1")
 
-    dist = _read_distribution(args.input)
-    if method in ("tree", "refine"):
-        if args.epsilon is not None:
-            dist = smooth(dist, args.epsilon)
-        if not dist.strictly_positive():
-            raise ZeroProbabilityError(
-                "input has zero probabilities; re-run with --epsilon")
-        if method == "tree":
-            payload = compress_tree(dist)
-        else:
-            payload = compress_refined(dist, 3 if args.k is None else args.k)
-    else:
-        payload = compress_sparse(dist, Fraction(1) if args.c is None else args.c)
-        if method == "sparse-queryable":
-            payload = build_query_table(payload)
-
-    container = cont.container_for(payload)
+    container = cont.compress(_read_distribution(args.input), args.method, **options)
     data = container.pack()
     with open(args.output, "wb") as fh:
         fh.write(data)
-    print(f"{args.output}: method={method} n={container.n} "
+    print(f"{args.output}: method={args.method} n={container.n} "
           f"payload_bits={len(container.payload)} container_bytes={len(data)}")
     return 0
 
@@ -240,11 +214,15 @@ def cmd_decompress(args) -> int:
     if args.digits < 1:
         raise UsageError("--digits must be at least 1")
     container = _read_container(args.input)
-    values = _decode_values(container)
+    try:
+        text = _lines(container.spec.values(container.open()), args.digits)
+    except MemoryError:
+        # a sparse header names any n up to 2^64 - 1 in a few bytes
+        raise DistributionError(f"n={container.n} does not fit in memory") from None
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(_lines(values, args.digits))
-    print(f"{args.output}: {len(values)} probabilities "
-          f"(method={container.method_name})")
+        fh.write(text)
+    print(f"{args.output}: {container.n} probabilities "
+          f"(method={container.spec.name})")
     return 0
 
 
@@ -256,7 +234,7 @@ def cmd_query(args) -> int:
             f"index {i} out of range for n={container.n}")
     index = container.spec.index
     if index is None:
-        raise UsageError(f"method {container.method_name} stores no query "
+        raise UsageError(f"method {container.spec.name} stores no query "
                          "structure; use sparse-queryable")
     print(format_probability(index(container.open()).query_prob(i), 17))
     return 0
@@ -268,7 +246,7 @@ def cmd_stats(args) -> int:
     if original.n != container.n:
         raise DistributionError(
             f"original has {original.n} symbols, container has {container.n}")
-    values = _decode_values(container)
+    values = container.spec.values(container.open())
     h = entropy(original)
     d = relative_entropy(original, values)
     ratio = max_ratio(original, values)
@@ -292,7 +270,7 @@ def cmd_stats(args) -> int:
 
 def cmd_info(args) -> int:
     container = _read_container(args.input)
-    lines = [f"method: {container.method_name}", f"n: {container.n}"]
+    lines = [f"method: {container.spec.name}", f"n: {container.n}"]
     for name, value in zip(container.spec.params, container.params):
         lines.append(f"{name}: {value}")
     lines.append(f"payload_bits: {len(container.payload)}")

@@ -9,11 +9,11 @@ size mismatch is reported as corruption.  Header bytes are deliberately
 excluded from the size guarantees the codecs make about their payloads.
 
 Each method is one record in METHODS: its header fields, payload length
-formula and its printed name, payload class, decoder, query index and
-promised bounds on D(P||Q) and max p_i/q_i.  The container and the CLI
-read every per-method decision from that record; only `compress` keeps
-its own option handling per method.  A query index is built once from an
-opened payload and then answers query_prob(i) for any i: the succinct
+formula and its printed name, payload class, compress step and the
+options it takes, decoder, query index and promised bounds on D(P||Q)
+and max p_i/q_i.  The container, `compress` and the CLI read every
+per-method decision from that record.  A query index is built once from
+an opened payload and then answers query_prob(i) for any i: the succinct
 tree index, the refine exponent table (one tree walk at open, O(1) per
 query), or the sparse-queryable table itself.
 """
@@ -25,12 +25,16 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .bits import Bits
-from .core import Record
-from .refine import RefinePayload, RefinedIndex, decompress_refined
+from .core import ProbabilityDistribution, Record
+from .refine import (RefinePayload, RefinedIndex, compress_refined,
+                     decompress_refined)
 from .sparse import (LOG2_PI2_3, SparsePayload, SparseQueryTable,
-                     decompress_sparse, index_width, rank_width)
-from .succinct import SuccinctTreeIndex
-from .treecode import TreePayload, decode_tree, implied_distribution
+                     build_query_table, decompress_sparse, index_width,
+                     rank_width, select_heavy)
+from .succinct import SuccinctTreeIndex, smooth
+from .treebuild import ZeroProbabilityError
+from .treecode import (TreePayload, compress_tree, decode_tree,
+                       implied_distribution)
 
 MAGIC = b"PDZ1"
 
@@ -53,7 +57,7 @@ class Method(Record):
     convert the payload object, values(payload) decodes q_1..q_n, and
     index(payload) builds the method's query index, whose query_prob(i)
     answers q_i alone, or is None when the method stores no query
-    structure.
+    structure.  compress(dist, **opts) builds a payload, opts in `options`.
 
     `formula` names the payload length for people, with the header fields
     as format fields ("t={t} entries").  bounds(h, *params), h = H(P) in
@@ -67,19 +71,23 @@ class Method(Record):
     of floats for the sparse forms.
     """
 
-    __slots__ = _compared = ("tag", "name", "params", "payload_bits", "formula",
-                             "payload_type", "values", "index", "bounds")
+    __slots__ = _compared = ("tag", "name", "params", "options", "payload_bits",
+                             "formula", "payload_type", "compress", "values",
+                             "index", "bounds")
 
     def __init__(self, tag: int, name: str, params: tuple[str, ...],
-                 payload_bits: Callable[..., int], formula: str, payload_type: type,
+                 options: tuple[str, ...], payload_bits: Callable[..., int],
+                 formula: str, payload_type: type, compress: Callable,
                  values: Callable, index: Callable | None,
                  bounds: Callable[..., tuple[str, str | None]]) -> None:
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "options", options)
         object.__setattr__(self, "payload_bits", payload_bits)
         object.__setattr__(self, "formula", formula)
         object.__setattr__(self, "payload_type", payload_type)
+        object.__setattr__(self, "compress", compress)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "bounds", bounds)
@@ -92,6 +100,16 @@ def _refined_bounds(k: int) -> tuple[str, str]:
     return f"< {math.log2(r):.6g}", f"< {float(r):.6g}"
 
 
+def _positive(dist: ProbabilityDistribution, epsilon) -> ProbabilityDistribution:
+    """dist smoothed at weight epsilon, if given, with no zero left in it."""
+    if epsilon is not None:
+        dist = smooth(dist, epsilon)
+    if not dist.strictly_positive():
+        raise ZeroProbabilityError(
+            "input has zero probabilities; re-run with --epsilon")
+    return dist
+
+
 def _sparse_bounds(h: float, c: Fraction, t: int) -> tuple[str, None]:
     bound = float(c) * h + LOG2_PI2_3
     return f"<= c*H(P) + log2(pi^2/3) = {bound:.6g}", None
@@ -100,30 +118,36 @@ def _sparse_bounds(h: float, c: Fraction, t: int) -> tuple[str, None]:
 # the lambdas look module functions up when called, so a wrapper installed
 # on a module name (a tracer, a test double) also sees calls made here
 METHODS = {m.tag: m for m in (
-    Method(tag=METHOD_TREE, name="tree", params=(),
+    Method(tag=METHOD_TREE, name="tree", params=(), options=("epsilon",),
            payload_bits=lambda n: 2 * n - 2, formula="2n-2",
            payload_type=TreePayload,
+           compress=lambda p, epsilon=None: compress_tree(_positive(p, epsilon)),
            values=lambda p: (
                implied_distribution(decode_tree(p)).to_distribution()),
            index=lambda p: SuccinctTreeIndex.from_payload(p),
            bounds=lambda h: _refined_bounds(2)),
     Method(tag=METHOD_REFINE, name="refine", params=("k",),
+           options=("k", "epsilon"),
            payload_bits=lambda n, k: k * n - 2, formula="kn-2",
            payload_type=RefinePayload,
+           compress=lambda p, k=3, epsilon=None: (
+               compress_refined(_positive(p, epsilon), k)),
            values=lambda p: decompress_refined(p),
            index=lambda p: RefinedIndex(p),
            bounds=lambda h, k: _refined_bounds(k)),
-    Method(tag=METHOD_SPARSE, name="sparse", params=("c", "t"),
+    Method(tag=METHOD_SPARSE, name="sparse", params=("c", "t"), options=("c",),
            payload_bits=lambda n, c, t: t * index_width(n),
            formula="t={t} entries",
            payload_type=SparsePayload,
+           compress=lambda p, c=Fraction(1): select_heavy(p, c),
            values=lambda p: decompress_sparse(p),
            index=None, bounds=_sparse_bounds),
     Method(tag=METHOD_SPARSE_QUERYABLE, name="sparse-queryable",
-           params=("c", "t"),
+           params=("c", "t"), options=("c",),
            payload_bits=lambda n, c, t: t * (index_width(n) + rank_width(n, c)),
            formula="t={t} entries",
            payload_type=SparseQueryTable,
+           compress=lambda p, c=Fraction(1): build_query_table(select_heavy(p, c)),
            values=lambda p: decompress_sparse(p.sparse_payload()),
            index=lambda p: p, bounds=_sparse_bounds),
 )}
@@ -147,6 +171,13 @@ _FIELDS = {
                      + c.denominator.to_bytes(8, "little")), _read_c),
     "t": (lambda t: t.to_bytes(8, "little"), lambda take: _uint(take(8))),
 }
+
+
+def method_named(name: str) -> Method:
+    for spec in METHODS.values():
+        if spec.name == name:
+            return spec
+    raise ValueError(f"unknown method {name!r}")
 
 
 def _method(tag: int) -> Method:
@@ -216,10 +247,6 @@ class Container(Record):
         return METHODS[self.method]
 
     @property
-    def method_name(self) -> str:
-        return self.spec.name
-
-    @property
     def params(self) -> tuple:
         """The header field values, in stored order."""
         return tuple(getattr(self, name) for name in self.spec.params)
@@ -283,6 +310,11 @@ def container_for(payload) -> Container:
                      **{name: getattr(payload, name) for name in spec.params})
 
 
+def compress(dist: ProbabilityDistribution, method: str, **options) -> Container:
+    """dist compressed by the named method, with options its record takes."""
+    return container_for(method_named(method).compress(dist, **options))
+
+
 container_for_tree = container_for_refined = container_for
 container_for_sparse = container_for_query_table = container_for
 
@@ -291,7 +323,7 @@ def _payload_of(tag: int) -> Callable[[Container], object]:
     def payload_of(container: Container):
         if container.method != tag:
             raise ContainerFormatError(
-                f"container holds method {container.method_name}, "
+                f"container holds method {container.spec.name}, "
                 f"not {METHODS[tag].name}")
         return container.open()
     return payload_of

@@ -101,28 +101,48 @@ class TestCompress:
 
     def test_flag_cross_validation(self, tmp_path, capsys):
         # every check runs before the input is read, so a missing input
-        # exits 1 too; k must fit the header's 2-byte field
+        # exits 1 too; k must fit the header's 2-byte field.  Where two
+        # checks apply, the scope checks (k, c, epsilon) come before the
+        # value checks (epsilon, k, c)
         src = write_dist(tmp_path / "p.txt", [1, 1])
         missing = str(tmp_path / "absent.txt")
         out = tmp_path / "p.pdz"
+        k_scope = "--k applies only to --method refine"
+        c_scope = "--c applies only to the sparse methods"
+        k_range = "--k must be from 2 to 65535"
         bad_flags = [
-            ("--method", "tree", "--k", "3"),
-            ("--method", "tree", "--c", "1"),
-            ("--method", "sparse", "--epsilon", "1"),
-            ("--method", "refine", "--k", "1"),
-            ("--method", "refine", "--k", "65536"),
-            ("--method", "refine", "--k", "70000"),
-            ("--method", "sparse", "--c", "1/2"),
-            ("--method", "sparse-queryable", "--c", "0"),
-            ("--method", "tree", "--epsilon", "0"),
-            ("--method", "nope"),
+            (("--method", "tree", "--k", "3"), k_scope),
+            (("--method", "tree", "--c", "1"), c_scope),
+            (("--method", "sparse", "--epsilon", "1"),
+             "--epsilon applies only to tree and refine"),
+            (("--method", "refine", "--k", "1"), k_range),
+            (("--method", "refine", "--k", "65536"), k_range),
+            (("--method", "refine", "--k", "70000"), k_range),
+            (("--method", "sparse", "--c", "1/2"), "--c must be at least 1"),
+            (("--method", "sparse-queryable", "--c", "0"),
+             "--c must be at least 1"),
+            (("--method", "tree", "--epsilon", "0"),
+             "--epsilon must be positive"),
+            (("--method", "sparse", "--k", "3", "--epsilon", "1"), k_scope),
+            (("--method", "tree", "--c", "0", "--epsilon", "0"), c_scope),
+            (("--method", "refine", "--k", "1", "--epsilon", "0"),
+             "--epsilon must be positive"),
+            (("--method", "sparse-queryable", "--k", "70000", "--c", "0"),
+             k_scope),
         ]
         for path in (src, missing):
-            for flags in bad_flags:
-                code, stdout, _ = run(capsys, "compress", *flags, path,
-                                      str(out))
+            for flags, message in bad_flags:
+                code, stdout, stderr = run(capsys, "compress", *flags, path,
+                                           str(out))
                 assert (code, stdout) == (1, ""), (flags, path)
+                assert stderr == f"pdzip: error: {message}\n", (flags, path)
                 assert not out.exists()
+            code, stdout, stderr = run(capsys, "compress", "--method", "nope",
+                                       path, str(out))
+            assert (code, stdout) == (1, "")
+            assert stderr.splitlines()[-1].startswith(
+                "pdzip compress: error: argument --method: invalid choice: ")
+            assert not out.exists()
 
     def test_k_at_the_header_limit(self, tmp_path, capsys):
         src = write_dist(tmp_path / "p.txt", [1])
@@ -260,7 +280,7 @@ class TestDecompressPerValue:
                               box, str(out))
         assert code == 0
         assert stdout == (f"{out}: {len(values)} probabilities "
-                          f"(method={container.method_name})\n")
+                          f"(method={container.spec.name})\n")
         assert out.read_text() == "".join(
             format_probability(v, digits) + "\n" for v in values)
 
@@ -460,6 +480,19 @@ class TestCorruption:
                     assert code == 2, (tree_bits, argv)
                     assert stdout == ""
                     assert "pdzip: error:" in stderr and "tree" in stderr
+
+    def test_sparse_n_too_large_to_decompress(self, tmp_path, capsys):
+        # a valid 45-byte header may name n = 2^63 - 1; CPython refuses a
+        # list that long before it allocates, so this test uses no memory
+        n = (1 << 63) - 1
+        box = tmp_path / "p.pdz"
+        box.write_bytes(cont.Container(cont.METHOD_SPARSE, n, bits(""),
+                                       c=Fraction(1), t=0).pack())
+        out = tmp_path / "q.txt"
+        code, stdout, stderr = run(capsys, "decompress", str(box), str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"pdzip: error: n={n} does not fit in memory\n"
+        assert not out.exists()
 
     def test_numeral_past_the_digit_limit_is_a_data_error(self, tmp_path, capsys):
         src = tmp_path / "p.txt"

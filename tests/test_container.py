@@ -14,6 +14,7 @@ from pdzip.container import (
     METHODS,
     Container,
     ContainerFormatError,
+    compress,
     container_for,
     container_for_query_table,
     container_for_refined,
@@ -29,6 +30,8 @@ from pdzip.cli import build_parser
 from pdzip.core import ProbabilityDistribution
 from pdzip.refine import compress_refined
 from pdzip.sparse import build_query_table, select_heavy
+from pdzip.succinct import smooth
+from pdzip.treebuild import ZeroProbabilityError
 from pdzip.treecode import compress_tree
 from conftest import random_distribution
 from naive import bits
@@ -221,7 +224,7 @@ class TestConstructorChecks:
 
     def test_method_names(self):
         box = container_for_tree(compress_tree(dist(1, 1)))
-        assert box.method_name == "tree"
+        assert box.spec.name == "tree"
 
 
 def sample_payload(tag):
@@ -233,6 +236,23 @@ def sample_payload(tag):
         METHOD_SPARSE: heavy,
         METHOD_SPARSE_QUERYABLE: build_query_table(heavy),
     }[tag]
+
+
+# each record's compress step spelt as codec calls with the CLI's
+# defaults, and a value other than the default for each option it takes
+CODECS = {
+    METHOD_TREE: (lambda p, epsilon=None: compress_tree(
+        p if epsilon is None else smooth(p, epsilon)),
+        {"epsilon": Fraction(1, 10)}),
+    METHOD_REFINE: (lambda p, k=3, epsilon=None: compress_refined(
+        p if epsilon is None else smooth(p, epsilon), k),
+        {"k": 5, "epsilon": Fraction(1, 10)}),
+    METHOD_SPARSE: (lambda p, c=Fraction(1): select_heavy(p, c),
+                    {"c": Fraction(3, 2)}),
+    METHOD_SPARSE_QUERYABLE: (
+        lambda p, c=Fraction(1): build_query_table(select_heavy(p, c)),
+        {"c": Fraction(3, 2)}),
+}
 
 
 def compress_method_choices():
@@ -249,7 +269,7 @@ class TestMethodTable:
         payload = sample_payload(tag)
         box = container_for(payload)
         assert box.method == tag
-        assert box.method_name == METHODS[tag].name
+        assert box.spec.name == METHODS[tag].name
         again = unpack(box.pack())
         assert again == box
         assert again.open() == payload
@@ -273,3 +293,41 @@ class TestMethodTable:
 
     def test_cli_offers_the_record(self, tag):
         assert compress_method_choices() == [m.name for m in METHODS.values()]
+
+    def test_compress_is_the_codec(self, tag):
+        spec = METHODS[tag]
+        codec, others = CODECS[tag]
+        assert set(spec.options) == set(others)
+        for p in (dist(13, 1, 1, 1), random_distribution(random.Random(tag), 60)):
+            assert (compress(p, spec.name).pack()
+                    == container_for(codec(p)).pack())
+            for name, value in others.items():
+                assert (compress(p, spec.name, **{name: value}).pack()
+                        == container_for(codec(p, **{name: value})).pack()), name
+
+    def test_compress_rejects_options_it_does_not_take(self, tag):
+        spec = METHODS[tag]
+        for name, value in {"k": 3, "c": Fraction(1), "epsilon": Fraction(1, 10),
+                            "t": 0}.items():
+            if name not in spec.options:
+                with pytest.raises(TypeError):
+                    compress(dist(1, 1), spec.name, **{name: value})
+
+    def test_compress_zero_bins(self, tag):
+        spec = METHODS[tag]
+        codec, _ = CODECS[tag]
+        p, eps = dist(3, 0, 1, 0, 0), Fraction(1, 10)
+        if tag in (METHOD_TREE, METHOD_REFINE):
+            with pytest.raises(ZeroProbabilityError,
+                               match="^input has zero probabilities; "
+                                     "re-run with --epsilon$"):
+                compress(p, spec.name)
+            assert (compress(p, spec.name, epsilon=eps)
+                    == container_for(codec(smooth(p, eps))))
+        else:
+            assert compress(p, spec.name) == container_for(codec(p))
+
+
+def test_compress_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        compress(dist(1, 1), "nope")

@@ -617,8 +617,9 @@ def _records():
     heavy = select_heavy(p, Fraction(1))
     table = build_query_table(heavy)
     # the METHODS records hold lambdas, which pickle cannot send
-    method = Method(tag=9, name="m", params=(), payload_bits=abs, formula="n",
-                    payload_type=int, values=repr, index=None, bounds=max)
+    method = Method(tag=9, name="m", params=(), options=(), payload_bits=abs,
+                    formula="n", payload_type=int, compress=min, values=repr,
+                    index=None, bounds=max)
     return [p, shape, encode_tree(shape), DyadicDistribution((1, 2, 2)),
             compress_refined(p, 4), decompress_sparse(heavy), heavy, table,
             method, container_for(table)]

@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports, and a public API that resolves.
+"""Source hygiene: no unused imports, a public API that resolves, and a
+CLI that leaves every per-method decision to the codec records.
 
 The unused-import scan reads each module's AST: a name an import binds
 counts as used when a Name node, the root of an attribute chain, or a
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import pdzip
+from pdzip.container import METHODS
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "pdzip").glob("*.py")) + sorted(
@@ -65,6 +67,53 @@ def test_scan_finds_an_unused_import():
            "import math\nimport os.path\nfrom fractions import Fraction as F\n"
            "def f(x: 'F'):\n    return os.path.join(x)\n")
     assert unused_imports(src) == [("math", 2)]
+
+
+def cli_method_knowledge(source: str) -> list[str]:
+    """What a CLI source decides per method itself: each package module it
+    imports other than container and core, and each comparison with a
+    method name literal as an operand (or inside one, as in a tuple)."""
+    names = {m.name for m in METHODS.values()}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        modules = []
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if not node.level:  # an absolute import: pdzip's modules only
+                if base.split(".")[0] != "pdzip":
+                    continue
+                base = base.removeprefix("pdzip").lstrip(".")
+            modules = ([base.split(".")[0]] if base
+                       else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            modules = [alias.name.partition(".")[2] or alias.name
+                       for alias in node.names
+                       if alias.name.split(".")[0] == "pdzip"]
+        elif isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                found += [f"line {node.lineno} compares with {sub.value!r}"
+                          for sub in ast.walk(operand)
+                          if isinstance(sub, ast.Constant) and sub.value in names]
+        found += [f"line {node.lineno} imports {module}" for module in modules
+                  if module not in ("container", "core")]
+    return found
+
+
+def test_cli_leaves_methods_to_the_records():
+    source = (ROOT / "src" / "pdzip" / "cli.py").read_text(encoding="utf-8")
+    assert cli_method_knowledge(source) == []
+
+
+def test_scan_finds_method_knowledge():
+    src = ("from . import container as cont, treecode\nfrom .core import entropy\n"
+           "from .refine import compress_refined\nimport pdzip.sparse\n"
+           "from pdzip.core import parse_distribution\nimport os.path\n"
+           "if m in ('tree', 'refine') or 'sparse' != m or m == 'trees':\n"
+           "    pass\n")
+    assert sorted(cli_method_knowledge(src)) == [
+        "line 1 imports treecode", "line 3 imports refine",
+        "line 4 imports sparse", "line 7 compares with 'refine'",
+        "line 7 compares with 'sparse'", "line 7 compares with 'tree'"]
 
 
 def test_public_names_resolve_once():
