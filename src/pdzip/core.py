@@ -12,7 +12,11 @@ from_weights takes int, bool, float, Fraction and Decimal weights, or
 anything else with an exact as_integer_ratio().  With each weight a
 ratio num_i/d_i in lowest terms and L = lcm(d_i), the gcd of the
 integers num_i * L/d_i is the gcd of the numerators alone, so the
-weights reach lowest terms with no gcd over the scaled integers.
+weights reach lowest terms with no gcd over the scaled integers.  When
+every d_i is a power of two (floats, and the ratios of dyadic rationals),
+L is simply the largest d_i, because the lcm of powers of two is the
+largest of them, and each num_i * L/d_i is a left shift; other
+denominators take the lcm.
 
 The measures make one pass over their arguments and build no
 per-symbol list.  A distribution is read as its integer weights over
@@ -49,10 +53,26 @@ _LOWEST_TERMS = frozenset((int, bool, float, Fraction, Decimal))
 def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
     """Positive-denominator pairs num/d over L = lcm(d): each num * (L // d), and L.
 
-    The lcm runs over the distinct denominators in ascending order: in
-    falling order, every step would take a gcd against the whole lcm so far.
+    Integers (every d = 1) are their own numerators.  When every
+    denominator is a power of two (every float, and any ratio of dyadic
+    rationals), L is the largest of them, since each smaller one
+    divides it, and num * (L // d) is the shift
+    num << (L.bit_length() - d.bit_length()): no lcm, division or product.
+    That test reads the denominators in a list, not a set: above the hash
+    modulus 2^j hashes to 2^(j mod 61), so deep powers of two crowd a set;
+    when the largest is no power of two, it reads none of the others.
+    Otherwise the lcm runs over the distinct denominators in ascending
+    order: in falling order, every step would take a gcd against the whole
+    lcm so far.
     """
-    den = math.lcm(*sorted({d for _, d in ratios}))
+    dens = [d for _, d in ratios]
+    den = max(dens)
+    if den == 1:
+        return [num for num, _ in ratios], 1
+    if den.bit_count() == 1 and sum(map(int.bit_count, dens)) == len(dens):
+        top = den.bit_length()
+        return [num << (top - d.bit_length()) for num, d in ratios], den
+    den = math.lcm(*sorted(set(dens)))
     return [num * (den // d) for num, d in ratios], den
 
 

@@ -18,10 +18,17 @@ exponents m_i - d_i (shifted to be non-negative) and the normalizer, and
 then answers each q_i in O(1).  decompress_refined reads the same
 exponents; a k-level payload has at most (deepest leaf + k - 1) distinct
 ones, so it builds each value once per distinct exponent, not per symbol.
+
+The encoder's levels compare exact products.  Each symbol pays one
+product w_i * U * 2^(k-3) for its side of the mark test; the q side
+u_i * (2^(k-3) + 1) * W is made once per distinct q weight u_i, and the
+q weights compress_refined passes are powers of two, so on a deep tree
+it is a shift.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -74,29 +81,44 @@ def refine_step(dist: ProbabilityDistribution,
 
     Requires max p_i/q_i < 2 + 2^{4-k} on entry (4 for k = 3) and returns
     the mark vector together with the renormalized distribution, whose
-    largest ratio is below 2 + 2^{3-k}.
+    largest ratio is below 2 + 2^{3-k}.  Every q_i must be positive, which
+    is checked before any symbol is read.  The q side of the tests is
+    computed once per distinct q weight, not once per symbol.
     """
     if k < 3:
         raise ValueError("refinement levels start at k = 3")
     if dist.n != q_prev.n:
         raise DistributionError("distributions have different lengths")
+    us = q_prev.weights
+    if 0 in us:
+        raise DistributionError("q_i must be strictly positive")
     # with p = w/W, q = u/U and s = 2^(k-3), the mark test p >= (1 + 1/s) q
     # is w*U*s >= (s+1)*u*W and the precondition p < (2 + 2/s) q is
-    # w*U*s < 2*(s+1)*u*W
+    # w*U*s < 2*(s+1)*u*W, which an unmarked symbol meets already
     s = 1 << (k - 3)
     p_scale = q_prev.total * s
     q_scale = (s + 1) * dist.total
+    # the right-hand side once per distinct u.  Below the hash modulus an
+    # int hashes to itself; above it 2^j hashes to 2^(j mod 61), so the
+    # powers of two of a deep tree would crowd a table keyed by u: when
+    # every u is a power of two, as in compress_refined, its bit length
+    # keys it and u*q_scale is a shift
+    keys = us
+    if (q_prev.total >= sys.hash_info.modulus
+            and sum(map(int.bit_count, us)) == len(us)):
+        keys = list(map(int.bit_length, us))
+        rhs_of = {b: q_scale << (b - 1) for b in set(keys)}
+    else:
+        rhs_of = {u: u * q_scale for u in set(us)}
     marks = bytearray()  # ASCII digits, read at the end as one numeral
     weights = []
-    for w, u in zip(dist.weights, q_prev.weights):
-        if u <= 0:
-            raise DistributionError("q_i must be strictly positive")
+    for w, u, key in zip(dist.weights, us, keys):
         lhs = w * p_scale
-        rhs = u * q_scale
-        if lhs >= 2 * rhs:
-            raise DistributionError(
-                f"ratio precondition violated at level {k}")
+        rhs = rhs_of[key]
         if lhs >= rhs:
+            if lhs >= 2 * rhs:
+                raise DistributionError(
+                    f"ratio precondition violated at level {k}")
             marks += b"1"
             weights.append(2 * u)
         else:

@@ -263,14 +263,20 @@ def log2_fraction(x: Fraction) -> float:
 # ----------------------------------------------------------------------
 # the Fraction formulas of the construction, before integer weights
 
+def lcm_weights(entries: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Reduced Fractions summing to 1 as integer weights over the lcm of
+    their denominators, and that lcm."""
+    total = math.lcm(*(p.denominator for p in entries))
+    return tuple(p.numerator * (total // p.denominator) for p in entries), total
+
+
 def fraction_from_weights(weights) -> tuple[tuple[int, ...], int, tuple[Fraction, ...]]:
     """(weights, total, entries) of w_i / sum(w): each entry a reduced
     Fraction, then all of them over the lcm of their denominators."""
     ws = [Fraction(*w.as_integer_ratio()) for w in weights]
     s = sum(ws)
     entries = tuple(w / s for w in ws)
-    total = math.lcm(*(p.denominator for p in entries))
-    return tuple(p.numerator * (total // p.denominator) for p in entries), total, entries
+    return *lcm_weights(entries), entries
 
 
 def fraction_midpoints(dist: ProbabilityDistribution) -> tuple[Fraction, ...]:
@@ -316,7 +322,10 @@ def fraction_refine_step(dist: ProbabilityDistribution,
     normalizer = 1 + marked_mass
     new_q = tuple((2 * q if m else q) / normalizer
                   for m, q in zip(marks, q_prev.entries))
-    return bits("".join(map(str, marks))), ProbabilityDistribution(new_q)
+    # weights over math.lcm, not through the package's constructor
+    q = object.__new__(ProbabilityDistribution)
+    q._init(*lcm_weights(new_q), new_q)
+    return bits("".join(map(str, marks))), q
 
 
 def fraction_compress_refined(dist: ProbabilityDistribution, k: int) -> RefinePayload:

@@ -102,6 +102,31 @@ class TestProbabilityDistribution:
             ProbabilityDistribution.from_weights([1.0, bad])
         assert not isinstance(info.value, DistributionError)
 
+    def test_entries_constructor_on_dyadic_entries(self):
+        entries = [Fraction(1, 2 ** j) for j in range(1, 300)] + [Fraction(1, 2 ** 299)]
+        p = ProbabilityDistribution(entries)
+        assert (p.weights, p.total, p.entries) == fraction_from_weights(entries)
+        assert p.total == 2 ** 299
+        p = ProbabilityDistribution(entries[::-1])
+        assert (p.weights, p.total) == fraction_from_weights(entries[::-1])[:2]
+        with pytest.raises(DistributionError, match="sum to 1/2, not 1"):
+            ProbabilityDistribution((Fraction(1, 4), Fraction(1, 4), Fraction(0)))
+
+    def test_dyadic_weights_take_no_lcm(self, monkeypatch):
+        calls = []
+        lcm = math.lcm
+        monkeypatch.setattr(math, "lcm", lambda *dens: calls.append(dens) or lcm(*dens))
+        dyadic = [0.1, 5e-324, Fraction(3, 2 ** 500), 7, Fraction(1, 2)]
+        p = ProbabilityDistribution.from_weights(dyadic)
+        ProbabilityDistribution((Fraction(1, 2), Fraction(3, 2 ** 80),
+                                 Fraction(2 ** 79 - 3, 2 ** 80)))
+        ProbabilityDistribution.from_weights([3, 0, True, 5])
+        assert calls == []
+        # one odd denominator takes the lcm path
+        q = ProbabilityDistribution.from_weights(dyadic + [Fraction(1, 3)])
+        assert len(calls) == 1
+        assert q.weights[:-1] == tuple(3 * w for w in p.weights)
+
     def test_from_weights_common_factor_beside_zero(self):
         # numerators 0, 2, 4 share the factor 2: 6/9 and 4/9 become 3 and 2
         p = ProbabilityDistribution.from_weights([0, Fraction(2, 3), Fraction(4, 9)])

@@ -219,6 +219,17 @@ def _reference_weight_lists(n=300):
     # numerators with the common factor g = 6
     yield pytest.param([Fraction(6, 5), 12, Fraction(18, 7), 0, 6.0],
                        id="shared-factor")
+    # powers of two as denominators go over the largest one; one odd
+    # denominator among them sends the list through the lcm instead
+    deep = [Fraction(1, 2 ** j) for j in range(2001)]
+    yield pytest.param(deep, id="dyadic-deep-down")
+    yield pytest.param(deep[::-1], id="dyadic-deep-up")
+    yield pytest.param([5e-324, 1.0, 0.375, 3 * 5e-324, 2.0 ** -1022],
+                       id="subnormal")
+    yield pytest.param([Fraction(3, 8), 0.5, Fraction(1, 2 ** 90), 2],
+                       id="dyadic-shallow")
+    yield pytest.param([Fraction(3, 8), 0.5, Fraction(1, 2 ** 90), Fraction(2, 3)],
+                       id="dyadic-one-odd")
 
 
 @pytest.mark.parametrize("weights", _reference_weight_lists())

@@ -22,7 +22,8 @@ from pdzip.treebuild import ZeroProbabilityError
 from pdzip.treecode import (StrictTreeShape, TreePayload, decode_tree,
                             encode_tree, implied_distribution)
 from conftest import random_distribution
-from naive import bits, fraction_decompress_refined, log2_fraction
+from naive import (bits, fraction_decompress_refined, fraction_refine_step,
+                   log2_fraction)
 
 
 def dist(*weights):
@@ -57,6 +58,30 @@ class TestRefineStep:
         q = dist(1, 9)
         with pytest.raises(DistributionError, match="precondition"):
             refine_step(p, q, 3)  # ratio 9 >= 4
+
+    def test_zero_q_weight(self):
+        with pytest.raises(DistributionError, match="q_i must be strictly positive"):
+            refine_step(dist(1, 1), dist(0, 1), 3)
+
+    def test_zero_q_weight_is_reported_before_the_precondition(self):
+        # symbol 1 breaks the precondition (ratio 9 >= 4); q_3 is 0
+        with pytest.raises(DistributionError, match="q_i must be strictly positive"):
+            refine_step(dist(18, 1, 1), dist(1, 9, 0), 3)
+
+    @pytest.mark.parametrize("q_weights", [
+        (1, 2, 3, 6),
+        # past the hash modulus: powers of two alone, and mixed with others
+        tuple(2 ** j for j in range(0, 140, 2)),
+        tuple(2 ** j for j in range(0, 140, 2)) + (3, 6 * 2 ** 70, 1),
+    ])
+    def test_matches_reference_on_mixed_q_weights(self, q_weights):
+        rng = random.Random(len(q_weights))
+        q = dist(*q_weights)
+        # p_i / q_i within a factor 3/2 either way keeps the ratio below 2.25
+        p = dist(*(u * Fraction(rng.randint(2, 3), rng.randint(2, 3))
+                   for u in q_weights))
+        for level in range(3, 7):
+            assert refine_step(p, q, level) == fraction_refine_step(p, q, level)
 
     def test_level_must_be_at_least_three(self):
         with pytest.raises(ValueError):
