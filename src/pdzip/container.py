@@ -80,17 +80,8 @@ class Method(Record):
                  formula: str, payload_type: type, compress: Callable,
                  values: Callable, index: Callable | None,
                  bounds: Callable[..., tuple[str, str | None]]) -> None:
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "options", options)
-        object.__setattr__(self, "payload_bits", payload_bits)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "payload_type", payload_type)
-        object.__setattr__(self, "compress", compress)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "bounds", bounds)
+        super().__init__(tag, name, params, options, payload_bits, formula,
+                         payload_type, compress, values, index, bounds)
 
 
 def _refined_bounds(k: int) -> tuple[str, str]:
@@ -218,29 +209,13 @@ class Container(Record):
 
     def __init__(self, method: int, n: int, payload: Bits, k: int | None = None,
                  c: Fraction | None = None, t: int | None = None) -> None:
-        spec = _check(method, n, {"k": k, "c": c, "t": t})
-        self._set(method, n, payload, k, c, t)
-        want = spec.payload_bits(n, *self.params)
+        params = {"k": k, "c": c, "t": t}
+        spec = _check(method, n, params)
+        want = spec.payload_bits(n, *map(params.get, spec.params))
         if len(payload) != want:
             raise ContainerFormatError(
                 f"payload is {len(payload)} bits, method requires {want}")
-
-    def _set(self, method, n, payload, k, c, t) -> None:
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "t", t)
-
-    @classmethod
-    def _trusted(cls, method: int, n: int, payload: Bits, k: int | None = None,
-                 c: Fraction | None = None, t: int | None = None) -> "Container":
-        """Trusted: header fields that _check accepts and a payload of the
-        method's exact length, as unpack has checked them."""
-        box = object.__new__(cls)
-        box._set(method, n, payload, k, c, t)
-        return box
+        super().__init__(method, n, payload, k, c, t)
 
     @property
     def spec(self) -> Method:
@@ -297,7 +272,8 @@ def unpack(data: bytes) -> Container:
         payload = Bits(bytes(payload_bytes), bit_length)
     except ValueError as exc:
         raise ContainerFormatError(f"payload padding: {exc}") from None
-    return Container._trusted(spec.tag, n, payload, **params)
+    return Container._trusted(spec.tag, n, payload,
+                              *map(params.get, ("k", "c", "t")))
 
 
 # ----------------------------------------------------------------------

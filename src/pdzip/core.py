@@ -77,11 +77,27 @@ def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
 
 
 class Record:
-    """An immutable slotted record.  `_compared` names the fields that ==,
-    hash and repr read: its constructor's positional parameters, in order,
-    so copy and pickle rebuild it through the constructor and its checks."""
+    """An immutable slotted record.  __init__ stores one value per slot, in
+    order: a subclass checks its arguments, then passes them on to it.
+    _trusted(*values) is the one unchecked constructor.  `_compared` names
+    the fields that ==, hash and repr read: its constructor's positional
+    parameters, in order, so copy and pickle rebuild it through the
+    constructor and its checks."""
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        slots = type(self).__slots__
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes {len(slots)} values")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        record = object.__new__(cls)
+        Record.__init__(record, *values)
+        return record
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -133,12 +149,7 @@ class ProbabilityDistribution(Record):
         if total != den:
             raise DistributionError(
                 f"probabilities sum to {Fraction(total, den)}, not 1")
-        self._init(tuple(weights), den, entries)
-
-    def _init(self, weights: tuple[int, ...], total: int, entries=None) -> None:
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "_entries", entries)
+        super().__init__(tuple(weights), den, entries)
 
     @classmethod
     def _exact(cls, weights: Sequence[int], total: int) -> "ProbabilityDistribution":
@@ -147,9 +158,7 @@ class ProbabilityDistribution(Record):
         if g > 1:
             weights = [w // g for w in weights]
             total //= g
-        dist = object.__new__(cls)
-        dist._init(tuple(weights), total)
-        return dist
+        return cls._trusted(tuple(weights), total, None)
 
     @classmethod
     def _shared(cls, keys: Sequence[int], weight: dict[int, int],
@@ -163,10 +172,8 @@ class ProbabilityDistribution(Record):
         that key.
         """
         entry = {key: Fraction(w, total) for key, w in weight.items()}
-        dist = object.__new__(cls)
-        dist._init(tuple(map(weight.__getitem__, keys)), total,
-                   tuple(map(entry.__getitem__, keys)))
-        return dist
+        return cls._trusted(tuple(map(weight.__getitem__, keys)), total,
+                            tuple(map(entry.__getitem__, keys)))
 
     @classmethod
     def from_weights(cls, weights: Sequence[int | float | Fraction | Decimal]
@@ -205,9 +212,7 @@ class ProbabilityDistribution(Record):
         if g > 1:
             ratios = [(num // g, d) for num, d in ratios]
         ints, _ = _over_lcm(ratios)
-        dist = object.__new__(cls)
-        dist._init(tuple(ints), sum(ints))
-        return dist
+        return cls._trusted(tuple(ints), sum(ints), None)
 
     def __reduce__(self):
         return (ProbabilityDistribution._exact, (self.weights, self.total))

@@ -51,9 +51,7 @@ class RefinePayload(Record):
         for lv in levels:
             if len(lv) != base.n:
                 raise ValueError("level vector length must equal n")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "levels", levels)
+        super().__init__(k, base, levels)
 
     @property
     def n(self) -> int:

@@ -39,7 +39,7 @@ class ApproxDistribution(Record):
             total += p
         if abs(total - 1.0) > 1e-9:
             raise DistributionError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
     @property
     def n(self) -> int:
@@ -103,9 +103,7 @@ class SparsePayload(Record):
             if r in seen:
                 raise DistributionError(f"duplicate heavy index {r}")
             seen.add(r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "heavy_indices", heavy_indices)
+        super().__init__(n, c, heavy_indices)
 
     @property
     def t(self) -> int:
@@ -156,10 +154,7 @@ class SparseQueryTable(Record):
             ranks.add(rank)
         if len(ranks) != t:
             raise DistributionError("ranks must be a permutation of 1..t")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "rank_values", _rank_values(n, t))
+        super().__init__(n, c, pairs, _rank_values(n, t))
 
     @property
     def t(self) -> int:

@@ -63,11 +63,9 @@ import struct
 from bisect import bisect_left
 from fractions import Fraction
 
-from .bits import Bits
 from .core import ProbabilityDistribution, ceil_log2_ratio
 from .treebuild import capped_tree, code_tree
-from .treecode import (MalformedPayloadError, StrictTreeShape, TreePayload,
-                       encode_tree)
+from .treecode import MalformedPayloadError, StrictTreeShape, TreePayload
 
 
 class NavigationError(ValueError):
@@ -187,9 +185,9 @@ class SuccinctTreeIndex:
     __slots__ = ("_n", "_m", "_B", "_G", "_nb", "_words", "_blk_entry",
                  "_blk_zeros", "_levels")
 
-    def __init__(self, shape_bits: Bits, n: int):
-        # shape_bits carries all 2n-1 preorder leaf flags
-        if len(shape_bits) != 2 * n - 1:
+    def __init__(self, flags: int, n: int):
+        # all 2n-1 preorder leaf flags, as StrictTreeShape.flags holds them
+        if n < 1 or flags < 0 or flags >> (2 * n - 1):
             raise MalformedPayloadError("shape must hold 2n-1 node flags")
         self._n = n
         m = 2 * n - 1
@@ -200,7 +198,7 @@ class SuccinctTreeIndex:
         self._G = max(1, math.ceil(lg))
         nw = (m + 15) // 16
         pad = 16 * nw - m
-        packed = (shape_bits.as_int() << pad) | ((1 << pad) - 1)
+        packed = (flags << pad) | ((1 << pad) - 1)
         words = self._words = struct.unpack(f">{nw}H",
                                             packed.to_bytes(2 * nw, "big"))
         # per block: entry excess and minimum excess, both absolute
@@ -241,13 +239,12 @@ class SuccinctTreeIndex:
 
     @classmethod
     def from_tree_shape(cls, shape: StrictTreeShape) -> "SuccinctTreeIndex":
-        return cls.from_payload(encode_tree(shape))
+        return cls(shape.flags, shape.n)
 
     @classmethod
     def from_payload(cls, payload: TreePayload) -> "SuccinctTreeIndex":
         """Index stored tree bits; MalformedPayloadError if they are no tree."""
-        full = Bits.from_int(payload.bits.as_int() << 1, 2 * payload.n - 1)
-        return cls(full, payload.n)
+        return cls(payload.bits.as_int() << 1, payload.n)
 
     # ------------------------------------------------------------------
     # internal machinery

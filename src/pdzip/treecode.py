@@ -8,8 +8,9 @@ turned into flags when the shape is made, which is also what decides that
 the depths describe a strict tree, and decode_tree turns stored bits back
 into depths, rejecting bits that do not describe one.  decode_tree and
 treebuild's contraction have proved their trees strict by the time they
-finish, so they hand depths and flags together to
-StrictTreeShape._trusted instead of having them walked again.  The leaf
+finish, so they hand depths and flags together to the _trusted
+constructor that StrictTreeShape inherits from core.Record, which stores
+them unchecked, instead of having them walked again.  The leaf
 depths d_i of such a tree satisfy sum 2^{-d_i} = 1 exactly, so the tree
 itself encodes the distribution q_i = 2^{-d_i}.  That distribution takes
 one value per distinct depth, and DyadicDistribution builds each value
@@ -39,16 +40,7 @@ class StrictTreeShape(Record):
     _compared = ("leaf_depths",)
 
     def __init__(self, leaf_depths: tuple[int, ...]) -> None:
-        object.__setattr__(self, "leaf_depths", leaf_depths)
-        object.__setattr__(self, "flags", _preorder_flags(leaf_depths))
-
-    @classmethod
-    def _trusted(cls, depths: tuple[int, ...], flags: int) -> "StrictTreeShape":
-        """Trusted: the leaf depths of a strict tree and its preorder flags."""
-        shape = object.__new__(cls)
-        object.__setattr__(shape, "leaf_depths", depths)
-        object.__setattr__(shape, "flags", flags)
-        return shape
+        super().__init__(leaf_depths, _preorder_flags(leaf_depths))
 
     @property
     def n(self) -> int:
@@ -84,8 +76,7 @@ class TreePayload(Record):
         if len(bits) != 2 * n - 2:
             raise MalformedPayloadError(
                 f"expected {2 * n - 2} bits for n={n}, got {len(bits)}")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "n", n)
+        super().__init__(bits, n)
 
     def to_bits(self) -> Bits:
         return self.bits
@@ -99,9 +90,6 @@ class DyadicDistribution(Record):
     """The distribution 2^{-d_i} implied by strict-tree leaf depths."""
 
     __slots__ = _compared = ("depth_exponents",)
-
-    def __init__(self, depth_exponents: tuple[int, ...]) -> None:
-        object.__setattr__(self, "depth_exponents", depth_exponents)
 
     def to_distribution(self) -> ProbabilityDistribution:
         """Weights 2^(top - d_i) over 2^top, top the deepest leaf's depth.

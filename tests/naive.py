@@ -322,9 +322,8 @@ def fraction_refine_step(dist: ProbabilityDistribution,
     normalizer = 1 + marked_mass
     new_q = tuple((2 * q if m else q) / normalizer
                   for m, q in zip(marks, q_prev.entries))
-    # weights over math.lcm, not through the package's constructor
-    q = object.__new__(ProbabilityDistribution)
-    q._init(*lcm_weights(new_q), new_q)
+    # weights over math.lcm, stored unchecked: the package's _over_lcm never runs
+    q = ProbabilityDistribution._trusted(*lcm_weights(new_q), new_q)
     return bits("".join(map(str, marks))), q
 
 

@@ -166,7 +166,17 @@ def test_criterion_4_sparse_method(main_corpus):
         _report(4, "sparse-method bound, size, and query agreement", ok)
 
 
-def test_criterion_5_succinct_navigation():
+def test_criterion_5_succinct_navigation(monkeypatch):
+    # each query_prob(i) must make one descent, which is recorded and
+    # checked against the oracle, so every leaf is walked once
+    descents = []
+    descend = SuccinctTreeIndex.leaf_descent
+
+    def recorded(self, i):
+        descents.append(descend(self, i))
+        return descents[-1]
+
+    monkeypatch.setattr(SuccinctTreeIndex, "leaf_descent", recorded)
     ok = False
     try:
         rng = random.Random(0xACCE05)
@@ -190,10 +200,12 @@ def test_criterion_5_succinct_navigation():
                     assert idx.left_child(v) == oracle.left_child(v)
                     assert idx.right_child(v) == oracle.right_child(v)
             for i in range(1, n + 1):
-                pos, steps = idx.leaf_descent(i)
+                descents.clear()
+                q = idx.query_prob(i)
+                (pos, steps), = descents
                 assert steps == depths[i - 1]
                 assert pos == oracle.leaf_position(i)
-                assert idx.query_prob(i) == Fraction(1, 1 << steps)
+                assert q == Fraction(1, 1 << steps)
 
         n16 = 1 << 16
         idx16 = SuccinctTreeIndex.from_tree_shape(

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import random
@@ -650,6 +651,42 @@ def _records():
             method, container_for(table)]
 
 
+# each record's repr and the sha256 of its pickle, frozen so that a change
+# in how records are built cannot move either; protocol 4 is pinned, as the
+# default protocol differs between Python versions
+_FROZEN = {
+    "ProbabilityDistribution": (
+        "ProbabilityDistribution.from_weights([3, 1, 2, 2])", "8c66dd37102303f0"),
+    "StrictTreeShape": (
+        "StrictTreeShape(leaf_depths=(1, 2, 2))", "b24531417450fbe8"),
+    "TreePayload": (
+        "TreePayload(bits=Bits('1010', nbits=4), n=3)", "033beab969ad0b15"),
+    "DyadicDistribution": (
+        "DyadicDistribution(depth_exponents=(1, 2, 2))", "1ce4330b2398daa1"),
+    "RefinePayload": (
+        "RefinePayload(k=4, base=TreePayload(bits=Bits('110010', nbits=6), n=4),"
+        " levels=(Bits('0000', nbits=4), Bits('1000', nbits=4)))",
+        "0cf8a7066d5d8373"),
+    "ApproxDistribution": (
+        "ApproxDistribution(entries=(0.25, 0.25, 0.25, 0.25))", "6a38a6529ffa3e80"),
+    "SparsePayload": (
+        "SparsePayload(n=4, c=Fraction(1, 1), heavy_indices=())", "741448c4aa8f66ad"),
+    "SparseQueryTable": (
+        "SparseQueryTable(n=4, c=Fraction(1, 1), pairs=())", "96e79fb9386e6413"),
+    "Method": (
+        "Method(tag=9, name='m', params=(), options=(),"
+        " payload_bits=<built-in function abs>, formula='n',"
+        " payload_type=<class 'int'>, compress=<built-in function min>,"
+        " values=<built-in function repr>, index=None,"
+        " bounds=<built-in function max>)",
+        "b0ca236edf00e814"),
+    "Container": (
+        "Container(method=4, n=4, payload=Bits('', nbits=0), k=None,"
+        " c=Fraction(1, 1), t=0)",
+        "7722e14c58265065"),
+}
+
+
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_records_copy_pickle_and_stay_immutable(record):
     # a slotted class whose __setattr__ raises unpickles only through a
@@ -668,3 +705,29 @@ def test_records_copy_pickle_and_stay_immutable(record):
     text = repr(record)
     assert text.startswith(type(record).__name__)
     assert "flags" not in text and "rank_values" not in text
+    frozen_repr, frozen_pickle = _FROZEN[type(record).__name__]
+    assert text == frozen_repr
+    digest = hashlib.sha256(pickle.dumps(record, protocol=4)).hexdigest()
+    assert digest[:16] == frozen_pickle
+    # the unchecked constructor rebuilds a record from its slots, cached
+    # and derived ones (flags, rank_values, _entries) included
+    slots = type(record).__slots__
+    twin = type(record)._trusted(*(getattr(record, s) for s in slots))
+    assert type(twin) is type(record)
+    assert twin == record
+    for s in slots:
+        assert getattr(twin, s) == getattr(record, s)
+
+
+def test_record_init_takes_one_value_per_slot():
+    from pdzip.bits import Bits
+    from pdzip.treecode import DyadicDistribution, TreePayload
+
+    assert DyadicDistribution((1, 1)).depth_exponents == (1, 1)
+    for make in (DyadicDistribution, DyadicDistribution._trusted):
+        with pytest.raises(TypeError):
+            make()
+        with pytest.raises(TypeError):
+            make((1,), 2)
+    # _trusted skips the subclass's checks: 0 bits cannot hold a 5-leaf tree
+    assert TreePayload._trusted(Bits(), 5).n == 5

@@ -1,5 +1,6 @@
-"""Source hygiene: no unused imports, a public API that resolves, and a
-CLI that leaves every per-method decision to the codec records.
+"""Source hygiene: no unused imports, a public API that resolves, a CLI
+that leaves every per-method decision to the codec records, and record
+fields stored in one place.
 
 The unused-import scan reads each module's AST: a name an import binds
 counts as used when a Name node, the root of an attribute chain, or a
@@ -114,6 +115,58 @@ def test_scan_finds_method_knowledge():
         "line 1 imports treecode", "line 3 imports refine",
         "line 4 imports sparse", "line 7 compares with 'refine'",
         "line 7 compares with 'sparse'", "line 7 compares with 'tree'"]
+
+
+def raw_object_access(source: str, module: str) -> list[str]:
+    """'scope: object.name' for each mention of object.__setattr__ or
+    object.__new__, scope the module and the classes and functions around
+    it, dotted."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "object"
+                    and child.attr in ("__setattr__", "__new__")):
+                found.append(f"{scope}: object.{child.attr}")
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+# Record.__init__ stores every record's fields and Record._trusted is the
+# one constructor that skips a subclass's checks; entries fills a cache
+RAW_OBJECT_ACCESS = {"core.Record.__init__: object.__setattr__",
+                     "core.Record._trusted: object.__new__",
+                     "core.ProbabilityDistribution.entries: object.__setattr__"}
+
+
+def test_records_store_fields_in_one_place():
+    found = []
+    for path in sorted((ROOT / "src" / "pdzip").glob("*.py")):
+        found += raw_object_access(path.read_text(encoding="utf-8"), path.stem)
+    assert [f for f in found if f not in RAW_OBJECT_ACCESS] == []
+
+
+def test_scan_finds_raw_object_access():
+    src = ("class A:\n"
+           "    def __init__(self):\n"
+           "        object.__setattr__(self, 'x', 1)\n"
+           "    @classmethod\n"
+           "    def make(cls):\n"
+           "        return object.__new__(cls)\n"
+           "def f(o):\n"
+           "    store = object.__setattr__\n"
+           "    return object.__getattribute__(o, 'x'), setattr(o, 'x', 2)\n")
+    assert raw_object_access(src, "m") == [
+        "m.A.__init__: object.__setattr__", "m.A.make: object.__new__",
+        "m.f: object.__setattr__"]
 
 
 def test_public_names_resolve_once():

@@ -120,7 +120,7 @@ class TestNavigationExamples:
     # shape 1100100: root, left child internal, two leaves, right
     # child internal, two leaves
     def setup_method(self):
-        self.idx = SuccinctTreeIndex(bits("1100100"), 4)
+        self.idx = SuccinctTreeIndex(0b1100100, 4)
 
     def test_children(self):
         assert self.idx.left_child(0) == 1
@@ -238,9 +238,12 @@ class TestConstruction:
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
-            SuccinctTreeIndex(bits("10"), 1)
+            SuccinctTreeIndex(0b10, 1)
         with pytest.raises(ValueError):
-            SuccinctTreeIndex(bits("111"), 2)
+            SuccinctTreeIndex(0b111, 2)
+        for flags, n in ((0, 0), (-1, 1), (0b1000, 2)):
+            with pytest.raises(MalformedPayloadError):
+                SuccinctTreeIndex(flags, n)
 
     def test_malformed_payload_rejected(self):
         for bad in ("1111", "0010"):
@@ -506,7 +509,7 @@ class TestSpaceAccounting:
         for exp in range(10, 21):
             n = 1 << exp
             m = 2 * n - 1
-            caterpillar = Bits.from_int(int("10" * (n - 1) + "0", 2), m)
+            caterpillar = int("10" * (n - 1) + "0", 2)
             idx = SuccinctTreeIndex(caterpillar, n)
             B, nb, G = idx._B, idx._nb, idx._G
             assert nb == -(-m // B)
