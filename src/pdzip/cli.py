@@ -19,7 +19,7 @@ import argparse
 import functools
 import os
 import sys
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, localcontext
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -33,6 +33,9 @@ from .core import (
     parse_distribution,
     relative_entropy,
 )
+
+
+DIGITS = 17  # significant digits where a decimal expansion does not end
 
 
 class UsageError(Exception):
@@ -76,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
 
     p = sub.add_parser("decompress", help="write the stored distribution")
-    p.add_argument("--digits", type=int, default=17,
+    p.add_argument("--digits", type=int, default=DIGITS,
                    help="significant digits for non-terminating values")
     p.add_argument("input")
     p.add_argument("output")
@@ -104,49 +107,30 @@ def _parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # value formatting
 
-def _is_terminating(den: int) -> bool:
-    for f in (2, 5):
-        while den % f == 0:
-            den //= f
-    return den == 1
-
-
-def format_exact_decimal(value: Fraction) -> str:
-    """Exact decimal expansion; denominator must divide a power of 10."""
-    den = value.denominator
-    a = 0
-    while den % 2 == 0:
-        den //= 2
-        a += 1
-    b = 0
-    while den % 5 == 0:
-        den //= 5
-        b += 1
-    if den != 1:
-        raise ValueError("fraction has no terminating decimal expansion")
-    e = max(a, b)
-    scaled = value.numerator * 10 ** e // value.denominator
-    if e == 0:
-        return str(scaled)
-    s = str(scaled).rjust(e + 1, "0")
-    return s[:-e] + "." + s[-e:]
-
-
-def format_significant(value, digits: int) -> str:
-    """Round to `digits` significant digits; plain decimal, never E-notation."""
+def format_probability(value, digits: int) -> str:
+    """Plain decimal text, never E-notation: a Fraction over 2^a * 5^b is
+    printed exactly, and no int is turned into text, so no digit limit
+    applies; any other value is rounded to `digits` significant digits.
+    """
     with localcontext() as ctx:
         ctx.prec = max(digits, 1)
         if isinstance(value, Fraction):
-            d = Decimal(value.numerator) / Decimal(value.denominator)
+            num, den = value.numerator, value.denominator
+            a = (den & -den).bit_length() - 1
+            rest, b = den >> a, 0
+            while rest % 5 == 0:
+                rest //= 5
+                b += 1
+            if rest == 1:
+                # value = num * 2^(e-a) * 5^(e-b) / 10^e, computed exactly
+                e = max(a, b)
+                ctx.prec, ctx.Emin, ctx.Emax = MAX_PREC, MIN_EMIN, MAX_EMAX
+                d = Decimal(num) * Decimal(2) ** (e - a) * Decimal(5) ** (e - b)
+                return format(d.scaleb(-e), "f")
+            d = Decimal(num) / Decimal(den)
         else:
             d = +Decimal(value)
     return format(d, "f")
-
-
-def format_probability(value, digits: int) -> str:
-    if isinstance(value, Fraction) and _is_terminating(value.denominator):
-        return format_exact_decimal(value)
-    return format_significant(value, digits)
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +220,7 @@ def cmd_query(args) -> int:
     if index is None:
         raise UsageError(f"method {container.spec.name} stores no query "
                          "structure; use sparse-queryable")
-    print(format_probability(index(container.open()).query_prob(i), 17))
+    print(format_probability(index(container.open()).query_prob(i), DIGITS))
     return 0
 
 

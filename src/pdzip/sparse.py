@@ -76,10 +76,11 @@ def rank_width(n: int, c: Fraction) -> int:
         raise ValueError("n must be at least 1")
     cn, cd = c.numerator, c.denominator
     e = cn + cd
-    # largest f >= 0 with f*(c+1) <= log2(n), i.e. 2^{f*e} <= n^{cd}
-    target = n ** cd
+    # largest f >= 0 with f*(c+1) <= log2(n), i.e. 2^{f*e} <= n^{cd};
+    # n < 2^L, so no f with f*e > cd*L passes: no shift is past cd*L bits
+    target, top = n ** cd, cd * n.bit_length()
     f = 0
-    while (1 << ((f + 1) * e)) <= target:
+    while (f + 1) * e <= top and (1 << ((f + 1) * e)) <= target:
         f += 1
     return f + 1
 

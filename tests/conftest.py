@@ -4,6 +4,7 @@ Everything is seeded so the suite is reproducible run to run.
 """
 
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def run_pdzip(*args, timeout=60):
+    """(exit code, stdout, stderr) of `python -m pdzip *args` in a child
+    process, which is killed after `timeout` seconds."""
+    proc = subprocess.run([sys.executable, "-m", "pdzip", *map(str, args)],
+                          capture_output=True, text=True, timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def sparse_queryable_header(n, c_num, c_den):
+    """A packed sparse-queryable container with t = 0 and no payload bits."""
+    fields = (n, c_num, c_den, 0, 0)  # n, c numerator and denominator, t, bits
+    return b"PDZ1\x04" + b"".join(v.to_bytes(8, "little") for v in fields)
 
 
 def near_uniform_weights(rng, n):

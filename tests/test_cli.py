@@ -2,20 +2,18 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from pdzip import cli
 from pdzip import container as cont
-from pdzip.cli import (
-    format_exact_decimal,
-    format_probability,
-    format_significant,
-    main,
-)
+from pdzip.cli import format_probability, main
 from pdzip.refine import RefinePayload, decompress_refined
 from pdzip.sparse import decompress_sparse
+from pdzip.treecode import StrictTreeShape, encode_tree
+from conftest import run_pdzip, sparse_queryable_header
 from naive import bits, fraction_decompress_refined
 
 
@@ -32,23 +30,49 @@ def run(capsys, *argv):
 
 class TestFormatting:
     def test_exact_decimal(self):
-        assert format_exact_decimal(Fraction(1, 2)) == "0.5"
-        assert format_exact_decimal(Fraction(1, 4)) == "0.25"
-        assert format_exact_decimal(Fraction(1)) == "1"
-        assert format_exact_decimal(Fraction(0)) == "0"
-        assert format_exact_decimal(Fraction(3, 40)) == "0.075"
-        with pytest.raises(ValueError):
-            format_exact_decimal(Fraction(1, 3))
+        # a decimal expansion that ends is printed whole, at any digits
+        for value, text in ((Fraction(1, 2), "0.5"), (Fraction(1, 4), "0.25"),
+                            (Fraction(1), "1"), (Fraction(0), "0"),
+                            (Fraction(3, 40), "0.075"), (Fraction(7), "7"),
+                            (Fraction(1, 625), "0.0016"), (Fraction(5, 2), "2.5")):
+            for digits in (1, 17):
+                assert format_probability(value, digits) == text
 
     def test_significant(self):
-        assert format_significant(0.25, 5) == "0.25"
-        assert format_significant(Fraction(1, 3), 5) == "0.33333"
-        assert format_significant(0.30396355092701331, 8) == "0.30396355"
+        assert format_probability(0.25, 5) == "0.25"
+        assert format_probability(Fraction(1, 3), 5) == "0.33333"
+        assert format_probability(0.30396355092701331, 8) == "0.30396355"
+        assert format_probability(Fraction(2, 3), 1) == "0.7"
+        assert format_probability(0.1, 17) == "0.10000000000000001"
+        assert format_probability(5e-324, 2) == "0." + "0" * 323 + "49"
 
     def test_probability_prefers_exact(self):
         assert format_probability(Fraction(1, 8), 17) == "0.125"
         assert format_probability(Fraction(1, 3), 5) == "0.33333"
         assert format_probability(0.25, 17) == "0.25"
+
+    def test_dyadic_and_five_adic_values_are_exact(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            a, b = rng.randint(0, 400), rng.randint(0, 400)
+            den = 2 ** a * 5 ** b
+            value = Fraction(rng.randint(0, 3 * den), den)
+            text = format_probability(value, rng.choice([1, 5, 17]))
+            assert Fraction(Decimal(text)) == value
+            # as few places as the exact value needs
+            places = len(text.partition(".")[2])
+            assert places == 0 or (value * 10 ** (places - 1)).denominator > 1
+
+    def test_no_int_becomes_text(self):
+        # the exact text of 2^-20000 has 20002 characters, far past the
+        # 640-digit limit on int <-> str conversion set here
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            text = format_probability(Fraction(1, 2 ** 20000), 17)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert Decimal(text).as_integer_ratio() == (1, 2 ** 20000)
 
 
 class TestCompress:
@@ -152,6 +176,22 @@ class TestCompress:
         assert code == 0 and "payload_bits=65533" in stdout
         assert cont.unpack(open(box, "rb").read()).k == 65535
 
+    def test_c_must_be_rational(self, tmp_path, capsys):
+        src = write_dist(tmp_path / "p.txt", [1, 1])
+        code, stdout, stderr = run(capsys, "compress", "--method", "sparse",
+                                   "--c", "abc", src, str(tmp_path / "p.pdz"))
+        assert (code, stdout) == (1, "")
+        assert stderr.splitlines()[-1] == (
+            "pdzip compress: error: argument --c: 'abc' is not a rational "
+            "number (use forms like 3, 0.25, 2/5)")
+
+    def test_weights_summing_to_zero_are_a_data_error(self, tmp_path, capsys):
+        src = write_dist(tmp_path / "p.txt", [0, 0])
+        code, stdout, stderr = run(capsys, "compress", "--method", "tree",
+                                   src, str(tmp_path / "p.pdz"))
+        assert (code, stdout) == (2, "")
+        assert stderr == "pdzip: error: weights sum to zero\n"
+
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         out = str(tmp_path / "p.pdz")
         code, _, stderr = run(capsys, "compress", "--method", "tree",
@@ -182,6 +222,17 @@ class TestDecompress:
         for line in (tmp_path / "q.txt").read_text().splitlines():
             digits = line.replace("0.", "").lstrip("0")
             assert len(digits) <= 3
+
+    def test_digits_must_be_positive(self, tmp_path, capsys):
+        src = write_dist(tmp_path / "p.txt", [1, 1])
+        box = str(tmp_path / "p.pdz")
+        run(capsys, "compress", "--method", "tree", src, box)
+        out = tmp_path / "q.txt"
+        code, stdout, stderr = run(capsys, "decompress", "--digits", "0",
+                                   box, str(out))
+        assert (code, stdout) == (1, "")
+        assert stderr == "pdzip: error: --digits must be at least 1\n"
+        assert not out.exists()
 
     def test_round_trip_tree_bits(self, tmp_path, capsys):
         src = write_dist(tmp_path / "p.txt", [9, 4, 2, 1])
@@ -343,6 +394,18 @@ class TestQuery:
                 assert code == 0
                 assert stdout == format_probability(value, 17) + "\n"
 
+    def test_deep_comb_prints_exactly(self, tmp_path, capsys):
+        # the last leaf of a 6500-leaf comb holds 2^-6499, whose exact
+        # decimal text is longer than the 4300 digits int() turns into text
+        depths = (*range(1, 6500), 6499)
+        box = tmp_path / "comb.pdz"
+        box.write_bytes(cont.container_for(
+            encode_tree(StrictTreeShape(depths))).pack())
+        code, stdout, stderr = run(capsys, "query", "--index", "6500", str(box))
+        assert (code, stderr) == (0, "")
+        assert stdout.endswith("\n")
+        assert Decimal(stdout.strip()).as_integer_ratio() == (1, 2 ** 6499)
+
     def test_queryable_sparse(self, tmp_path, capsys):
         src = write_dist(tmp_path / "p.txt", [13, 1, 1, 1])
         box = str(tmp_path / "p.pdz")
@@ -494,6 +557,27 @@ class TestCorruption:
         assert stderr == f"pdzip: error: n={n} does not fit in memory\n"
         assert not out.exists()
 
+    def test_c_below_one_is_a_data_error(self, tmp_path, capsys):
+        box = tmp_path / "p.pdz"
+        box.write_bytes(sparse_queryable_header(n=2, c_num=0, c_den=1))
+        code, stdout, stderr = run(capsys, "info", str(box))
+        assert (code, stdout) == (2, "")
+        assert stderr == "pdzip: error: c must be at least 1\n"
+
+    def test_huge_c_numerator_is_read(self, tmp_path):
+        # c = (2^64 - 1)/1 once made the rank width shift by about 2^64
+        # bits; each call runs in a child process with a time limit
+        box = tmp_path / "p.pdz"
+        box.write_bytes(sparse_queryable_header(n=2, c_num=2 ** 64 - 1, c_den=1))
+        assert box.stat().st_size == 45
+        code, stdout, stderr = run_pdzip("info", box)
+        assert (code, stderr) == (0, "")
+        assert "c: 18446744073709551615\n" in stdout
+        assert run_pdzip("query", "--index", 1, box) == (0, "0.5\n", "")
+        out = tmp_path / "q.txt"
+        assert run_pdzip("decompress", box, out)[::2] == (0, "")
+        assert out.read_text() == "0.5\n0.5\n"
+
     def test_numeral_past_the_digit_limit_is_a_data_error(self, tmp_path, capsys):
         src = tmp_path / "p.txt"
         src.write_text("1\n2\n" + "9" * 5000 + "\n")
@@ -516,12 +600,9 @@ class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         src = write_dist(tmp_path / "p.txt", [1, 1])
         out = str(tmp_path / "p.pdz")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pdzip", "compress", "--method", "tree",
-             src, out],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert "payload_bits=2" in proc.stdout
+        code, stdout, _ = run_pdzip("compress", "--method", "tree", src, out)
+        assert code == 0
+        assert "payload_bits=2" in stdout
 
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_closed_stdout_ends_quietly(self, tmp_path, unbuffered):

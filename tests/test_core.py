@@ -640,7 +640,10 @@ def _records():
 
     p = ProbabilityDistribution.from_weights([3, 1, 2, 2])
     shape = StrictTreeShape((1, 2, 2))
-    heavy = select_heavy(p, Fraction(1))
+    # two heavy symbols, 9 ranked before 3, so rank and index orders differ
+    skewed = ProbabilityDistribution.from_weights(
+        [{9: 40, 3: 30}.get(i, 1) for i in range(1, 17)])
+    heavy = select_heavy(skewed, Fraction(1))
     table = build_query_table(heavy)
     # the METHODS records hold lambdas, which pickle cannot send
     method = Method(tag=9, name="m", params=(), options=(), payload_bits=abs,
@@ -654,6 +657,7 @@ def _records():
 # each record's repr and the sha256 of its pickle, frozen so that a change
 # in how records are built cannot move either; protocol 4 is pinned, as the
 # default protocol differs between Python versions
+_LIGHT = "0.044288968667230956, "
 _FROZEN = {
     "ProbabilityDistribution": (
         "ProbabilityDistribution.from_weights([3, 1, 2, 2])", "8c66dd37102303f0"),
@@ -668,11 +672,15 @@ _FROZEN = {
         " levels=(Bits('0000', nbits=4), Bits('1000', nbits=4)))",
         "0cf8a7066d5d8373"),
     "ApproxDistribution": (
-        "ApproxDistribution(entries=(0.25, 0.25, 0.25, 0.25))", "6a38a6529ffa3e80"),
+        "ApproxDistribution(entries=(" + _LIGHT * 2 + "0.07599088773175333, "
+        + _LIGHT * 5 + "0.3039635509270133, " + _LIGHT * 6
+        + "0.044288968667230956))", "36e278ea0fe3f9cc"),
     "SparsePayload": (
-        "SparsePayload(n=4, c=Fraction(1, 1), heavy_indices=())", "741448c4aa8f66ad"),
+        "SparsePayload(n=16, c=Fraction(1, 1), heavy_indices=(9, 3))",
+        "a70694c735f2c86d"),
     "SparseQueryTable": (
-        "SparseQueryTable(n=4, c=Fraction(1, 1), pairs=())", "96e79fb9386e6413"),
+        "SparseQueryTable(n=16, c=Fraction(1, 1), pairs=((3, 2), (9, 1)))",
+        "4ddfd374f68e1583"),
     "Method": (
         "Method(tag=9, name='m', params=(), options=(),"
         " payload_bits=<built-in function abs>, formula='n',"
@@ -681,9 +689,9 @@ _FROZEN = {
         " bounds=<built-in function max>)",
         "b0ca236edf00e814"),
     "Container": (
-        "Container(method=4, n=4, payload=Bits('', nbits=0), k=None,"
-        " c=Fraction(1, 1), t=0)",
-        "7722e14c58265065"),
+        "Container(method=4, n=16, payload=Bits('0001000101000000', nbits=16),"
+        " k=None, c=Fraction(1, 1), t=2)",
+        "0bd2a515d06a30b2"),
 }
 
 

@@ -53,13 +53,17 @@ class TestWidths:
         assert rank_width(512, Fraction(1)) == 5
         # w2 - 1 is floor(log2(n)/(c+1)): the largest f with
         # 2^(f(cn+cd)) <= n^cd, checked in integers
-        for n in (2, 3, 10, 100, 1000, 65536):
+        for n in (2, 3, 10, 100, 1000, 4095, 4096, 4097, 65536):
             for c in (Fraction(1), Fraction(2), Fraction(3), Fraction(5, 2)):
                 w2 = rank_width(n, c)
                 cn, cd = c.numerator, c.denominator
                 e = cn + cd
                 assert 2 ** ((w2 - 1) * e) <= n ** cd
                 assert 2 ** (w2 * e) > n ** cd
+        # a header may store any c up to 2^64 - 1; the width is found
+        # without a shift past n^cd
+        assert rank_width(2, Fraction(2 ** 64 - 1)) == 1
+        assert rank_width(2 ** 64 - 1, Fraction(2 ** 64 - 1, 3)) == 1
 
     def test_max_heavy_count(self):
         assert max_heavy_count(16, Fraction(1)) == 4
