@@ -133,6 +133,19 @@ def format_probability(value, digits: int) -> str:
     return format(d, "f")
 
 
+def _format_ratio(ratio) -> str:
+    """12 significant digits, as a float prints them wherever the ratio
+    fits in one; a larger exact ratio is rounded once through Decimal."""
+    try:
+        return f"{float(ratio):.12g}"
+    except OverflowError:
+        # a refine payload's levels can store ratios near 2^65532
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emax = 12, MAX_EMAX
+            d = Decimal(ratio.numerator) / Decimal(ratio.denominator)
+            return format(d.normalize(), ".12g")
+
+
 # ----------------------------------------------------------------------
 # shared pieces
 
@@ -149,7 +162,7 @@ def _read_container(path: str) -> cont.Container:
 def _lines(dist, digits: int) -> str:
     """One formatted line per symbol, in symbol order.
 
-    Decoded values repeat (one per tree depth or refine exponent, one for
+    Decoded values repeat (one per tree depth or refine key, one for
     every light sparse symbol), so each distinct value is formatted once,
     keyed by its integer weight or its float.
     """
@@ -200,8 +213,9 @@ def cmd_decompress(args) -> int:
     container = _read_container(args.input)
     try:
         text = _lines(container.spec.values(container.open()), args.digits)
-    except MemoryError:
-        # a sparse header names any n up to 2^64 - 1 in a few bytes
+    except (MemoryError, OverflowError):
+        # a sparse header names any n up to 2^64 - 1 in a few bytes; a list
+        # of 2^63 or more items overflows before it could fail to allocate
         raise DistributionError(f"n={container.n} does not fit in memory") from None
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -243,7 +257,7 @@ def cmd_stats(args) -> int:
         f"n: {container.n}",
         f"entropy_P: {h:.12g} bits",
         f"divergence: {d:.12g} bits (bound: {d_bound})",
-        f"max_ratio: {float(ratio):.12g}"
+        f"max_ratio: {_format_ratio(ratio)}"
         + ("" if ratio_bound is None else f" (bound: {ratio_bound})"),
         f"payload_bits: {bits} ({formula} = {bits})",
         f"container_bytes: {len(container.pack())}",

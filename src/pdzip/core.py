@@ -167,7 +167,7 @@ class ProbabilityDistribution(Record):
         lowest terms and summing to total.
 
         A decoder's q_i take few distinct values, keyed by the small int
-        it holds (a depth or an exponent), so each distinct value gets one
+        it holds (a depth or a refine key), so each distinct value gets one
         int weight and one Fraction entry, shared by every symbol with
         that key.
         """

@@ -14,10 +14,11 @@ form once in integers; the encoder's per-level distributions are exactly
 the ones this replay passes through.  The normalizer sums over every
 leaf depth, so even one q_i needs the whole base tree walked: the query
 object, RefinedIndex, makes that one walk when it is opened, keeps the
-exponents m_i - d_i (shifted to be non-negative) and the normalizer, and
-then answers each q_i in O(1).  decompress_refined reads the same
-exponents; a k-level payload has at most (deepest leaf + k - 1) distinct
-ones, so it builds each value once per distinct exponent, not per symbol.
+keys k_i = d_i - m_i and the normalizer S = sum_i 2^(top - k_i), top the
+largest key, and then answers each q_i = 2^(top - k_i) / S in O(1).
+decompress_refined reads the same keys; a k-level payload has at most
+(deepest leaf + k - 1) distinct ones, so it builds each value once per
+distinct key, not per symbol.
 
 The encoder's levels compare exact products.  Each symbol pays one
 product w_i * U * 2^(k-3) for its side of the mark test; the q side
@@ -31,6 +32,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from fractions import Fraction
+from operator import sub
 
 from .bits import Bits, concat
 from .core import DistributionError, ProbabilityDistribution, Record
@@ -150,15 +152,17 @@ def compress_refined(dist: ProbabilityDistribution, k: int) -> RefinePayload:
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def refined_exponents(payload: RefinePayload) -> tuple[list[int], int]:
-    """Exponents e_i with q_i = 2^e_i / S, and S = sum_j 2^e_j.
+def refined_keys(payload: RefinePayload) -> tuple[list[int], dict[int, int], int]:
+    """Keys k_i, the weight of each distinct key, and the normalizer S.
 
     Every level doubles its marked symbols and renormalizes, so after all
     levels q_i is proportional to 2^(m_i - d_i), where d_i is leaf i's
     depth in the base tree and m_i the number of levels that mark symbol
-    i; e_i = top - d_i + m_i with top the deepest leaf's depth.  The base
-    tree is walked once, and the marks are added up as lanes of one
-    integer per level, each lane wide enough to hold k - 2.
+    i.  With k_i = d_i - m_i and top the largest key, key k has weight
+    2^(top - k), and q_i = 2^(top - k_i) / S with S the sum of the
+    weights.  The largest key has weight 1, so these are in lowest
+    terms.  The base tree is walked once, and the marks are added up as
+    lanes of one integer per level, each lane wide enough to hold k - 2.
     """
     depths = decode_tree(payload.base).leaf_depths
     n = payload.n
@@ -173,36 +177,34 @@ def refined_exponents(payload: RefinePayload) -> tuple[list[int], int]:
     marks = data[::width]
     for t in range(1, width):
         marks = [(m << 8) | b for m, b in zip(marks, data[t::width])]
-    top = max(depths)
-    exponents = [top - d + m for d, m in zip(depths, marks)]
-    # few distinct exponents: one shifted term per exponent, not per symbol
-    return exponents, sum(count << e for e, count in Counter(exponents).items())
+    keys = list(map(sub, depths, marks))
+    # few distinct keys: one weight and one term of S per key, not per symbol
+    counts = Counter(keys)
+    top = max(counts)
+    weight = {key: 1 << (top - key) for key in counts}
+    return keys, weight, sum(count * weight[key] for key, count in counts.items())
 
 
 class RefinedIndex:
     """Point queries on a refine payload: one tree walk at open, then each
-    q_i = 2^e_i / S is read from the stored exponents in O(1)."""
+    q_i = 2^(top - k_i) / S is read from the stored keys in O(1)."""
 
-    __slots__ = ("n", "_exponents", "_total")
+    __slots__ = ("n", "_keys", "_weight", "_total")
 
     def __init__(self, payload: RefinePayload):
         self.n = payload.n
-        self._exponents, self._total = refined_exponents(payload)
+        self._keys, self._weight, self._total = refined_keys(payload)
 
     def query_prob(self, i: int) -> Fraction:
         if not 1 <= i <= self.n:
             raise DistributionError(f"symbol index {i} out of range")
-        return Fraction(1 << self._exponents[i - 1], self._total)
+        return Fraction(self._weight[self._keys[i - 1]], self._total)
 
 
 def decompress_refined(payload: RefinePayload) -> ProbabilityDistribution:
     """The stored distribution, from the payload alone: no access to P.
 
-    The weights 2^e_i share the factor 2^low of the smallest exponent,
-    which is taken out of them and of S; each distinct exponent gets one
-    weight and one Fraction entry.
+    The weights 2^(top - k_i) are already in lowest terms over S; each
+    distinct key gets one weight and one Fraction entry.
     """
-    exponents, total = refined_exponents(payload)
-    low = min(exponents)
-    return ProbabilityDistribution._shared(
-        exponents, {e: 1 << (e - low) for e in set(exponents)}, total >> low)
+    return ProbabilityDistribution._shared(*refined_keys(payload))

@@ -112,31 +112,48 @@ def decode_tree(payload: TreePayload) -> StrictTreeShape:
     """Rebuild leaf depths from payload bits.
 
     With the implied final 0 restored, every 0 is a leaf that ends a run of
-    internal nodes.  The walk must close the tree at the last leaf and not
-    before; anything else raises MalformedPayloadError.
+    internal nodes.  A run of r internal nodes from depth `at` puts its
+    leaf at depth at + r, and leaves the right children of its first r - 1
+    nodes, at depths at + 1 .. at + r - 1, pending on a stack; a leaf with
+    no run before it sends the walk to the deepest pending right child.
+    The stack's bottom is -1, which the tree's last leaf pops to close it.
+    The walk must close the tree at the last leaf and not before; anything
+    else raises MalformedPayloadError.
     """
-    m = 2 * payload.n - 1
-    flags = payload.bits.as_int() << 1
     depths: list[int] = []
-    pending: list[int] = []
+    leaf = depths.append
+    pending = [-1]
+    push, pop, extend = pending.append, pending.pop, pending.extend
     at = 0
-    for run in format(flags, f"0{m}b").split("0")[:-1]:
-        if at < 0:
-            raise MalformedPayloadError("bits continue after the tree closed")
-        if run:
-            # the run's last internal node has this leaf as its left
-            # child, so its right subtree comes next: it is never pending
-            d = at + len(run)
-            pending.extend(range(at, d - 1))
-            at = d
-        else:
-            d = at
-            at = pending.pop() + 1 if pending else -1
-        depths.append(d)
+    try:
+        for run in map(len, payload.bits.to01().split("0")):
+            # most runs of a near-balanced tree are 0, 1 or 2 nodes long
+            if not run:
+                leaf(at)
+                at = pop()
+            elif run == 1:
+                at += 1
+                leaf(at)
+            elif run == 2:
+                push(at + 1)
+                at += 2
+                leaf(at)
+            else:
+                extend(range(at + 1, at + run))
+                at += run
+                leaf(at)
+    except IndexError:
+        # a leaf popped past the -1: the tree closed before these bits
+        raise MalformedPayloadError("bits continue after the tree closed") from None
     if at >= 0:
-        raise MalformedPayloadError("bits ran out before the tree closed")
+        # the last leaf did not pop the -1.  If the -1 is still at the
+        # bottom the tree never closed; if an earlier leaf popped it, the
+        # runs after that one started a new tree at depth -1 + r
+        if pending[:1] == [-1]:
+            raise MalformedPayloadError("bits ran out before the tree closed")
+        raise MalformedPayloadError("bits continue after the tree closed")
     # the walk has checked the depths; keep its flags rather than walk again
-    return StrictTreeShape._trusted(tuple(depths), flags)
+    return StrictTreeShape._trusted(tuple(depths), payload.bits.as_int() << 1)
 
 
 def implied_distribution(shape: StrictTreeShape) -> DyadicDistribution:

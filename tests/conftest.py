@@ -111,20 +111,25 @@ def zero_corpus():
 def random_tree_depths(rng, n, balanced=False):
     """Leaf depths of a random strict binary tree, left to right."""
     depths = []
+    leaf = depths.append
     stack = [(n, 0)]
+    push, pop = stack.append, stack.pop
+    # lo + _randbelow(hi - lo + 1) is what randint(lo, hi) returns, so the
+    # trees are the ones randint drew, without its argument checks
+    below = rng._randbelow
     while stack:
-        leaves, d = stack.pop()
+        leaves, d = pop()
         if leaves == 1:
-            depths.append(d)
+            leaf(d)
             continue
         if balanced:
             lo = max(1, leaves // 4)
-            hi = max(lo, (3 * leaves) // 4)
-            left = rng.randint(lo, hi)
+            left = lo + below(max(lo, (3 * leaves) // 4) - lo + 1)
         else:
-            left = rng.randint(1, leaves - 1)
-        stack.append((leaves - left, d + 1))
-        stack.append((left, d + 1))
+            left = 1 + below(leaves - 1)
+        d += 1
+        push((leaves - left, d))
+        push((left, d))
     return tuple(depths)
 
 

@@ -500,6 +500,19 @@ class TestStats:
             assert run(capsys, "stats", "--original", src,
                        "--compressed", box) == (0, want, "")
 
+    def test_ratio_past_the_float_range(self, tmp_path):
+        # 65533 levels that all mark symbol 1 store q_2 = 1/(2^65533 + 1),
+        # so max p_i/q_i = (2^65533 + 1)/2, about 1.25e19727
+        src = write_dist(tmp_path / "p.txt", [1, 1])
+        box = tmp_path / "p.pdz"
+        payload = RefinePayload(65535, encode_tree(StrictTreeShape((1, 1))),
+                                (bits("10"),) * 65533)
+        box.write_bytes(cont.container_for(payload).pack())
+        code, stdout, stderr = run_pdzip("stats", "--original", src,
+                                         "--compressed", box)
+        assert (code, stderr) == (0, "")
+        assert stdout.splitlines()[4] == "max_ratio: 1.2522062065e+19727 (bound: < 2)"
+
     def test_n_mismatch(self, tmp_path, capsys):
         src = write_dist(tmp_path / "p.txt", [1, 1])
         box = str(tmp_path / "p.pdz")
@@ -545,17 +558,20 @@ class TestCorruption:
                     assert "pdzip: error:" in stderr and "tree" in stderr
 
     def test_sparse_n_too_large_to_decompress(self, tmp_path, capsys):
-        # a valid 45-byte header may name n = 2^63 - 1; CPython refuses a
-        # list that long before it allocates, so this test uses no memory
-        n = (1 << 63) - 1
-        box = tmp_path / "p.pdz"
-        box.write_bytes(cont.Container(cont.METHOD_SPARSE, n, bits(""),
-                                       c=Fraction(1), t=0).pack())
+        # a valid 45-byte header may name any n up to 2^64 - 1; CPython
+        # refuses a list of 2^63 - 1 items (MemoryError) or more
+        # (OverflowError) before it allocates, so this test uses no memory
         out = tmp_path / "q.txt"
-        code, stdout, stderr = run(capsys, "decompress", str(box), str(out))
-        assert (code, stdout) == (2, "")
-        assert stderr == f"pdzip: error: n={n} does not fit in memory\n"
-        assert not out.exists()
+        box = tmp_path / "p.pdz"
+        for method, n in ((cont.METHOD_SPARSE, (1 << 63) - 1),
+                          (cont.METHOD_SPARSE, 1 << 63),
+                          (cont.METHOD_SPARSE_QUERYABLE, (1 << 64) - 1)):
+            box.write_bytes(cont.Container(method, n, bits(""),
+                                           c=Fraction(1), t=0).pack())
+            code, stdout, stderr = run(capsys, "decompress", str(box), str(out))
+            assert (code, stdout) == (2, "")
+            assert stderr == f"pdzip: error: n={n} does not fit in memory\n"
+            assert not out.exists()
 
     def test_c_below_one_is_a_data_error(self, tmp_path, capsys):
         box = tmp_path / "p.pdz"

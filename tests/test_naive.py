@@ -1,9 +1,11 @@
 """The slow reference implementations double as their own test targets.
 
 They must agree with the primary pipeline on small inputs; the
-acceptance suite runs the same comparison at scale.
+acceptance suite runs the same comparison at scale.  The corpus
+generators in conftest must keep drawing the same inputs.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from naive import (
     naive_entropy,
     naive_trie,
 )
+from conftest import random_tree_depths
 
 
 def dist(*weights):
@@ -104,3 +107,16 @@ class TestNaiveInfoMeasures:
             assert naive_entropy(p) == pytest.approx(entropy(p), abs=1e-9)
             assert naive_divergence(p, q) == pytest.approx(
                 relative_entropy(p, q), abs=1e-9)
+
+
+def test_random_tree_depths_are_pinned():
+    # the digest of the trees these seeds made when random_tree_depths
+    # still called rng.randint: a faster generator must draw the same ones
+    h = hashlib.sha256()
+    for seed in range(20):
+        rng = random.Random(seed)
+        for n in (1, 2, 3, 17, 400, 3000):
+            for balanced in (False, True):
+                h.update(repr(random_tree_depths(rng, n, balanced)).encode())
+    assert h.hexdigest() == (
+        "8d8a6b32d192dfd1b784ee9593e2e8cfe8f9c8b61dc49dd29a6657d65c92450c")

@@ -16,7 +16,7 @@ from pdzip.refine import (
     compress_refined,
     decompress_refined,
     refine_step,
-    refined_exponents,
+    refined_keys,
 )
 from pdzip.treebuild import ZeroProbabilityError
 from pdzip.treecode import (StrictTreeShape, TreePayload, decode_tree,
@@ -228,8 +228,9 @@ class TestDecompressRefined:
             assert tuple(decompress_refined(payload)) == want
             index = RefinedIndex(payload)
             assert tuple(index.query_prob(i) for i in range(1, 5)) == want
-        exponents, total = refined_exponents(payload)
-        assert exponents == [2, 1, 0, 298]
+        keys, weight, total = refined_keys(payload)
+        assert keys == [1, 2, 3, -295]
+        assert weight == {1: 4, 2: 2, 3: 1, -295: 1 << 298}
         assert total == 7 + (1 << 298)
 
     def test_index_range_checked(self):

@@ -1,15 +1,18 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdzip import container as cont
 from pdzip.bits import Bits
+from pdzip.cli import main
 from pdzip.core import ProbabilityDistribution
 from pdzip.refine import (RefinedIndex, RefinePayload, decompress_refined,
-                          refined_exponents)
+                          refined_keys)
 from pdzip.treebuild import StrictTreeShape, code_tree
 from pdzip.treecode import (
     DyadicDistribution,
@@ -70,6 +73,47 @@ class TestDecode:
         with pytest.raises(MalformedPayloadError):
             decode_tree(TreePayload(bits("1110"), 3))
 
+    def test_large_shapes_and_their_edges(self):
+        # combs, a zig-zag and a near-balanced tree at n = 10^5 come back
+        # with their depths and flags; bits that close any of them early
+        # or run out before they close raise the walk's two messages
+        n = 10 ** 5
+        # the zig-zag's spine turns at every node: even depths keep their
+        # leaf on the right, odd depths on the left
+        zigzag = ([d for d in range(1, n - 1) if d % 2 == 0] + [n - 1, n - 1]
+                  + [d for d in range(n - 2, 0, -1) if d % 2])
+        shapes = {
+            "left comb": (n - 1, *range(n - 1, 0, -1)),
+            "right comb": (*range(1, n), n - 1),
+            "zig-zag": tuple(zigzag),
+            "near-balanced": random_tree_depths(random.Random(59), n,
+                                                balanced=True),
+        }
+        early = "bits continue after the tree closed"
+        short = "bits ran out before the tree closed"
+        for name, depths in shapes.items():
+            shape = StrictTreeShape(depths)
+            got = decode_tree(encode_tree(shape))
+            assert (got.leaf_depths, got.flags) == (depths, shape.flags), name
+            # the whole tree's flags and one more bit, as n + 1 leaves: the
+            # tree closes at its last leaf with a 0 or a 1 still to come
+            for extra in (0, 1):
+                longer = TreePayload(
+                    Bits.from_int(shape.flags << 1 | extra, 2 * n), n + 1)
+                with pytest.raises(MalformedPayloadError, match=f"^{early}$"):
+                    decode_tree(longer)
+            # a root above the tree, with a 1 after the tree's stored bits:
+            # the root's right subtree starts and is still open at the end
+            unclosed = TreePayload(Bits.from_int(
+                1 << (2 * n - 1) | shape.flags | 1, 2 * n), n + 1)
+            with pytest.raises(MalformedPayloadError, match=f"^{short}$"):
+                decode_tree(unclosed)
+        for stored, message in (("0100", early), ("01", early), ("0110", early),
+                                ("0111", early), ("1110", short),
+                                ("1" * (2 * n - 2), short)):
+            with pytest.raises(MalformedPayloadError, match=f"^{message}$"):
+                decode_tree(TreePayload(bits(stored), len(stored) // 2 + 1))
+
     def test_payload_length_checked(self):
         with pytest.raises(MalformedPayloadError):
             TreePayload(bits("10"), 3)
@@ -105,17 +149,24 @@ def test_walk_matches_linked_tree(stored, level_ints):
     try:
         tree = LinkedTree(list(base.bits) + [0])
     except ValueError:
-        for decode in (decode_tree, refined_exponents, RefinedIndex):
+        for decode in (decode_tree, refined_keys, RefinedIndex):
             with pytest.raises(MalformedPayloadError):
                 decode(base if decode is decode_tree else refine)
         return
     depths = tuple(tree.leaf_depth(i) for i in range(1, n + 1))
     assert decode_tree(base).leaf_depths == depths
     marks = [sum(level[i] for level in levels) for i in range(n)]
-    exponents, total = refined_exponents(refine)
-    assert exponents == [max(depths) - d + m for d, m in zip(depths, marks)]
-    assert total == sum(1 << e for e in exponents)
-    assert RefinedIndex(refine).query_prob(n) == Fraction(1 << exponents[-1], total)
+    # q_i = 2^e_i / sum_j 2^e_j with e_i = max depth - d_i + m_i, and the
+    # normalizer with the smallest e's power of two taken out
+    exponents = [max(depths) - d + m for d, m in zip(depths, marks)]
+    normalizer = sum(1 << e for e in exponents)
+    keys, weight, total = refined_keys(refine)
+    assert keys == [d - m for d, m in zip(depths, marks)]
+    assert total == normalizer >> min(exponents)
+    assert [Fraction(weight[key], total) for key in keys] == [
+        Fraction(1 << e, normalizer) for e in exponents]
+    assert RefinedIndex(refine).query_prob(n) == Fraction(1 << exponents[-1],
+                                                          normalizer)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -145,6 +196,47 @@ def test_decoded_values_are_shared(stored, level_ints):
         assert list(entries) == want
         assert len({id(q) for q in entries}) == len(set(entries))
         assert len({id(w) for w in weights}) == len(set(weights))
+
+
+def test_each_open_walks_the_tree_once(tmp_path, monkeypatch, capsys):
+    # every module that bound decode_tree calls the counting wrapper
+    calls = []
+
+    def counted(payload):
+        calls.append(payload.n)
+        return decode_tree(payload)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.split(".")[0] == "pdzip"
+                and vars(module).get("decode_tree") is decode_tree):
+            monkeypatch.setattr(module, "decode_tree", counted)
+    src = tmp_path / "p.txt"
+    src.write_text("5\n3\n1\n1\n2\n7\n")
+    p = ProbabilityDistribution.from_weights([5, 3, 1, 1, 2, 7])
+    tree, refine = cont.compress(p, "tree"), cont.compress(p, "refine", k=4)
+
+    def cli(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+
+    opens = {
+        "tree values": lambda: tree.spec.values(tree.open()),
+        "refine values": lambda: refine.spec.values(refine.open()),
+        "refine index": lambda: RefinedIndex(refine.open()),
+    }
+    for name, box in (("tree", tree), ("refine", refine)):
+        path = tmp_path / f"{name}.pdz"
+        path.write_bytes(box.pack())
+        opens[f"{name} decompress"] = lambda path=path: cli(
+            "decompress", path, tmp_path / "q.txt")
+        opens[f"{name} stats"] = lambda path=path: cli(
+            "stats", "--original", src, "--compressed", path)
+    opens["refine query"] = lambda: cli(
+        "query", "--index", 3, tmp_path / "refine.pdz")
+    for name, open_ in opens.items():
+        calls.clear()
+        open_()
+        assert calls == [6], name
+    capsys.readouterr()
 
 
 class TestDyadic:
