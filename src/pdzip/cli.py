@@ -250,15 +250,17 @@ def cmd_stats(args) -> int:
     ratio = max_ratio(original, values)
     spec = container.spec
     d_bound, ratio_bound = spec.bounds(h, *container.params)
+    d_text, ratio_text = spec.bound_text
     formula = spec.formula.format(**dict(zip(spec.params, container.params)))
     bits = len(container.payload)
     lines = [
         f"method: {spec.name}",
         f"n: {container.n}",
         f"entropy_P: {h:.12g} bits",
-        f"divergence: {d:.12g} bits (bound: {d_bound})",
+        f"divergence: {d:.12g} bits (bound: {d_text.format(d_bound)})",
         f"max_ratio: {_format_ratio(ratio)}"
-        + ("" if ratio_bound is None else f" (bound: {ratio_bound})"),
+        + ("" if ratio_bound is None
+           else f" (bound: {ratio_text.format(ratio_bound)})"),
         f"payload_bits: {bits} ({formula} = {bits})",
         f"container_bytes: {len(container.pack())}",
     ]

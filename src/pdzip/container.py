@@ -61,8 +61,10 @@ class Method(Record):
 
     `formula` names the payload length for people, with the header fields
     as format fields ("t={t} entries").  bounds(h, *params), h = H(P) in
-    bits, gives the promised bounds as text: on D(P||Q), and on
-    max_i p_i/q_i or None where the method promises none.
+    bits, gives the promised bounds as numbers: on D(P||Q) in bits, and
+    on max_i p_i/q_i or None where the method promises none.
+    `bound_text` holds one format template per bound, which shows the
+    number as `stats` prints it ("< {:.6g}"), or None with no bound.
 
     values returns the decoded distribution object: a
     ProbabilityDistribution for tree and refine, whose integer weights,
@@ -73,22 +75,24 @@ class Method(Record):
 
     __slots__ = _compared = ("tag", "name", "params", "options", "payload_bits",
                              "formula", "payload_type", "compress", "values",
-                             "index", "bounds")
+                             "index", "bounds", "bound_text")
 
     def __init__(self, tag: int, name: str, params: tuple[str, ...],
                  options: tuple[str, ...], payload_bits: Callable[..., int],
                  formula: str, payload_type: type, compress: Callable,
                  values: Callable, index: Callable | None,
-                 bounds: Callable[..., tuple[str, str | None]]) -> None:
+                 bounds: Callable[..., tuple[float, float | None]],
+                 bound_text: tuple[str, str | None]) -> None:
         super().__init__(tag, name, params, options, payload_bits, formula,
-                         payload_type, compress, values, index, bounds)
+                         payload_type, compress, values, index, bounds,
+                         bound_text)
 
 
-def _refined_bounds(k: int) -> tuple[str, str]:
+def _refined_bounds(k: int) -> tuple[float, float]:
     # D(P||Q) < log2 r and max p_i/q_i < r at r = 2 + 2^{3-k}; the bare
     # tree is k = 2, where r = 4
     r = 2 + 2 ** (3 - k)
-    return f"< {math.log2(r):.6g}", f"< {float(r):.6g}"
+    return math.log2(r), float(r)
 
 
 def _positive(dist: ProbabilityDistribution, epsilon) -> ProbabilityDistribution:
@@ -101,9 +105,12 @@ def _positive(dist: ProbabilityDistribution, epsilon) -> ProbabilityDistribution
     return dist
 
 
-def _sparse_bounds(h: float, c: Fraction, t: int) -> tuple[str, None]:
-    bound = float(c) * h + LOG2_PI2_3
-    return f"<= c*H(P) + log2(pi^2/3) = {bound:.6g}", None
+def _sparse_bounds(h: float, c: Fraction, t: int) -> tuple[float, None]:
+    return float(c) * h + LOG2_PI2_3, None
+
+
+_REFINED_TEXT = ("< {:.6g}", "< {:.6g}")
+_SPARSE_TEXT = ("<= c*H(P) + log2(pi^2/3) = {:.6g}", None)
 
 
 # the lambdas look module functions up when called, so a wrapper installed
@@ -116,7 +123,7 @@ METHODS = {m.tag: m for m in (
            values=lambda p: (
                implied_distribution(decode_tree(p)).to_distribution()),
            index=lambda p: SuccinctTreeIndex.from_payload(p),
-           bounds=lambda h: _refined_bounds(2)),
+           bounds=lambda h: _refined_bounds(2), bound_text=_REFINED_TEXT),
     Method(tag=METHOD_REFINE, name="refine", params=("k",),
            options=("k", "epsilon"),
            payload_bits=lambda n, k: k * n - 2, formula="kn-2",
@@ -125,14 +132,14 @@ METHODS = {m.tag: m for m in (
                compress_refined(_positive(p, epsilon), k)),
            values=lambda p: decompress_refined(p),
            index=lambda p: RefinedIndex(p),
-           bounds=lambda h, k: _refined_bounds(k)),
+           bounds=lambda h, k: _refined_bounds(k), bound_text=_REFINED_TEXT),
     Method(tag=METHOD_SPARSE, name="sparse", params=("c", "t"), options=("c",),
            payload_bits=lambda n, c, t: t * index_width(n),
            formula="t={t} entries",
            payload_type=SparsePayload,
            compress=lambda p, c=Fraction(1): select_heavy(p, c),
            values=lambda p: decompress_sparse(p),
-           index=None, bounds=_sparse_bounds),
+           index=None, bounds=_sparse_bounds, bound_text=_SPARSE_TEXT),
     Method(tag=METHOD_SPARSE_QUERYABLE, name="sparse-queryable",
            params=("c", "t"), options=("c",),
            payload_bits=lambda n, c, t: t * (index_width(n) + rank_width(n, c)),
@@ -140,7 +147,7 @@ METHODS = {m.tag: m for m in (
            payload_type=SparseQueryTable,
            compress=lambda p, c=Fraction(1): build_query_table(select_heavy(p, c)),
            values=lambda p: decompress_sparse(p.sparse_payload()),
-           index=lambda p: p, bounds=_sparse_bounds),
+           index=lambda p: p, bounds=_sparse_bounds, bound_text=_SPARSE_TEXT),
 )}
 
 

@@ -22,9 +22,13 @@ The measures make one pass over their arguments and build no
 per-symbol list.  A distribution is read as its integer weights over
 its total and a sequence (Fractions, floats or ints) entry by entry,
 both as exact (numerator, denominator) pairs, and D(P||Q) sums one
-term per symbol, in symbol order.  The max ratio compares one candidate
-per distinct weight of a q distribution, or per run of equal entries of
-a q sequence, whose repeats a decoder shares as one object.
+term per symbol, in symbol order.  When P is a distribution, its p_i
+share one denominator, so the q side of each measure is worked out once
+per distinct q_i: per weight of a q distribution, or per object of a q
+sequence, which a decoder shares per distinct value.  A decoder's q_i
+carry powers of two (a tree's 1/2^d, refine's 2^b/S, the sparse floats'
+m/2^e), and those factors are shifts, not products.  The max ratio
+compares one candidate per distinct q_i.
 """
 
 from __future__ import annotations
@@ -161,17 +165,20 @@ class ProbabilityDistribution(Record):
         return cls._trusted(tuple(weights), total, None)
 
     @classmethod
-    def _shared(cls, keys: Sequence[int], weight: dict[int, int],
-                total: int) -> "ProbabilityDistribution":
+    def _shared(cls, keys: Sequence[int], weight: dict[int, int], total: int,
+                entry: dict[int, Fraction] | None = None
+                ) -> "ProbabilityDistribution":
         """Trusted: symbol i has weight[keys[i]] over total, the weights in
         lowest terms and summing to total.
 
         A decoder's q_i take few distinct values, keyed by the small int
         it holds (a depth or a refine key), so each distinct value gets one
         int weight and one Fraction entry, shared by every symbol with
-        that key.
+        that key.  `entry` gives those Fractions where the caller knows
+        them in lowest terms; by default each is Fraction(w, total).
         """
-        entry = {key: Fraction(w, total) for key, w in weight.items()}
+        if entry is None:
+            entry = {key: Fraction(w, total) for key, w in weight.items()}
         return cls._trusted(tuple(map(weight.__getitem__, keys)), total,
                             tuple(map(entry.__getitem__, keys)))
 
@@ -361,78 +368,214 @@ def entropy(dist: DistributionLike) -> float:
     return total
 
 
+# the most distinct q_i whose work a measure holds at once: a decoder's q_i
+# take far fewer values, and a Q of n distinct values is not held whole
+_HELD = 4096
+
+
+def _keyed_by_bit_length(q_dist: ProbabilityDistribution) -> bool:
+    """Whether a dict over q_dist's distinct weights keys each weight 2^(b-1)
+    by its bit length b: above the hash modulus 2^j hashes to 2^(j mod 61),
+    so the powers of two of a deep tree would crowd a dict keyed by them."""
+    return (q_dist.total >= sys.hash_info.modulus
+            and set(map(int.bit_count, q_dist.weights)) == {1})
+
+
+def _divergence_side(q, qn: int, qd: int, pd: int, pd_bits: int) -> tuple:
+    """What a D(P||Q) term w/pd * _log2_ratio(w * qd, pd * qn) needs of
+    q_i = qn/qd, made once per distinct q_i.
+
+    A power of two is an exponent, not a factor: the operands are
+    num << a and den << b, with num = w * mul, or w (mul = 0) when qd is
+    2^a, and den = pd * qn, or pd when qn is 2^b.  The side is (mul, a - b,
+    den, den.bit_length(), den << (b - a) if b > a else den, q), q kept
+    only to hold the object; a zero qn gives (0, None, 0, 0, 0, q).
+    """
+    if not qn:
+        return 0, None, 0, 0, 0, q
+    mul, shift = (qd, 0) if qd & (qd - 1) else (0, qd.bit_length() - 1)
+    if qn & (qn - 1):
+        den = pd * qn
+        return mul, shift, den, den.bit_length(), den, q
+    shift -= qn.bit_length() - 1
+    return mul, shift, pd, pd_bits, pd << -shift if shift < 0 else pd, q
+
+
+def _sequence_sides(q_values, pd: int, pd_bits: int):
+    """The side of each q_i, made once per distinct object, as a decoder
+    shares one per distinct value; after _HELD objects the sides kept so
+    far are dropped.  Each side holds its object, so that no id is
+    reused while it is kept."""
+    sides = {}
+    last = object()
+    side = None
+    for q in q_values:
+        if q is not last:
+            last = q
+            side = sides.get(id(q))
+            if side is None:
+                if len(sides) == _HELD:
+                    sides.clear()
+                qn, qd = q.as_integer_ratio()
+                side = sides[id(q)] = _divergence_side(q, qn, qd, pd, pd_bits)
+        yield side
+
+
+def _distribution_sides(q_dist: ProbabilityDistribution, pd: int, pd_bits: int):
+    """The side of each q_i, made once per distinct weight, or once per
+    symbol when q_dist has more than _HELD distinct weights."""
+    us, qd = q_dist.weights, q_dist.total
+    deep = _keyed_by_bit_length(q_dist)
+    distinct = set(map(int.bit_length, us) if deep else us)
+    if len(distinct) > _HELD:
+        return (_divergence_side(None, u, qd, pd, pd_bits) for u in us)
+    side = {key: _divergence_side(None, 1 << (key - 1) if deep else key,
+                                  qd, pd, pd_bits) for key in distinct}
+    return map(side.__getitem__, map(int.bit_length, us) if deep else us)
+
+
 def relative_entropy(p_dist: DistributionLike, q_dist: DistributionLike) -> float:
     """D(P||Q) = sum p_i log2(p_i/q_i) in bits, with 0 log 0 = 0.
+
+    Each term is p_i * _log2_ratio(pn * qd, pd * qn), summed in symbol
+    order.  When P is a distribution, pd is its total, so a term's q side
+    (pd * qn, its bit length, whether qd or qn is a power of two) is made
+    once per distinct q_i: per weight of a q distribution, per object of
+    a q sequence, keeping at most _HELD at once.  A power of two is a
+    shift, and _log2_ratio's quotient is taken between the operands
+    without it, scaled to one bit length: the same rational, so the same
+    rounded float.
 
     Raises InfiniteDivergenceError when some q_i = 0 has p_i > 0.
     """
     _same_length(p_dist, q_dist)
     total = 0.0
-    for (pn, pd), (qn, qd) in zip(_ratios(p_dist), _ratios(q_dist)):
-        if not pn:
+    if not isinstance(p_dist, ProbabilityDistribution):
+        for (pn, pd), (qn, qd) in zip(_ratios(p_dist), _ratios(q_dist)):
+            if not pn:
+                continue
+            if not qn:
+                raise InfiniteDivergenceError("q_i = 0 with p_i > 0")
+            pf = pn / pd
+            if pf:
+                total += pf * _log2_ratio(pn * qd, pd * qn)
+        return total
+    pd = p_dist.total
+    pd_bits = pd.bit_length()
+    sides = (_distribution_sides(q_dist, pd, pd_bits)
+             if isinstance(q_dist, ProbabilityDistribution)
+             else _sequence_sides(q_dist, pd, pd_bits))
+    for w, (mul, shift, den, den_bits, low, _) in zip(p_dist.weights, sides):
+        if not w:
             continue
-        if not qn:
+        if shift is None:
             raise InfiniteDivergenceError("q_i = 0 with p_i > 0")
-        pf = pn / pd
-        if pf:
-            total += pf * _log2_ratio(pn * qd, pd * qn)
+        pf = w / pd
+        if not pf:
+            continue
+        num = w * mul if mul else w
+        # _log2_ratio(num << a, den << b): the exponent picks the branch
+        s = num.bit_length() - den_bits
+        exponent = s + shift
+        if exponent > 1 or exponent < -1:
+            total += pf * (exponent + math.log2(
+                num / (den << s) if s >= 0 else (num << -s) / den))
+        else:
+            num = num << shift if shift > 0 else num
+            total += pf * (math.log1p((num - low) / low) / _LN2)
     return total
 
 
-def _run_maxima(weights, q_values):
-    """(w * q_den, q_num) for the largest w > 0 of each run of equal q_i."""
-    last = run = top = None
+def _object_maxima(weights, q_values, types: set):
+    """[largest w over q, qn, qd] per distinct object q of q_values, each
+    converted once, and each object's type added to `types`.  After
+    _HELD objects the entries so far are yielded and dropped, and the
+    objects with them, so a q seen again makes a second entry."""
+    most, held = {}, []
+    last = object()
+    entry = None
     for w, q in zip(weights, q_values):
         if q is not last:
-            last, q = q, q.as_integer_ratio()
-            if q != run:
-                if top:
-                    yield top * run[1], run[0]
-                run, top = q, w
-        if w > top:
-            top = w
-    if top:
-        yield top * run[1], run[0]
+            last = q
+            entry = most.get(id(q))
+            if entry is None:
+                if len(most) == _HELD:
+                    yield from most.values()
+                    most.clear()
+                    held.clear()
+                held.append(q)  # no id is reused while its entry is kept
+                types.add(type(q))
+                qn, qd = q.as_integer_ratio()
+                entry = most[id(q)] = [w, qn, qd]
+        if w > entry[0]:
+            entry[0] = w
+    yield from most.values()
+
+
+def _typed_ratios(dist, types: set):
+    """_ratios(dist), noting each sequence entry's type in `types`."""
+    if isinstance(dist, ProbabilityDistribution):
+        return _ratios(dist)
+    # set.add returns None, so each item is the entry's ratio
+    return (types.add(type(x)) or x.as_integer_ratio() for x in dist)
 
 
 def max_ratio(p_dist: DistributionLike, q_dist: DistributionLike):
     """max over {i : p_i > 0} of p_i/q_i.
 
     Exact (a Fraction) when both sides are rational; a float when either
-    side carries floats.  Raises InfiniteDivergenceError when some
-    q_i = 0 has p_i > 0.
+    side carries floats, even under p_i = 0.  Raises
+    InfiniteDivergenceError when some q_i = 0 has p_i > 0.
+
+    Each candidate is w * qd / qn.  When P is a distribution, w is the
+    largest weight over one distinct q value, converted once: per weight
+    of a q distribution, per object of a q sequence.  A power-of-two qd
+    or qn is kept as an exponent, so the comparisons shift it.
     """
     _same_length(p_dist, q_dist)
-    # each p_i/q_i with p_i > 0 as a (num, den) pair; the total that a
-    # distribution's p_i share is left out of the pairs and comparisons
-    if isinstance(p_dist, ProbabilityDistribution):
-        shared = p_dist.total
-        if isinstance(q_dist, ProbabilityDistribution):
-            # among the symbols of one q weight u, the largest w wins
-            most = {}
-            for w, u in zip(p_dist.weights, q_dist.weights):
-                if w > most.get(u, 0):
-                    most[u] = w
-            q_total = q_dist.total
-            ratios = ((w * q_total, u) for u, w in most.items())
-        else:
-            ratios = _run_maxima(p_dist.weights, q_dist)
+    types = set()
+    # the total a distribution's p_i share stays out of the candidates
+    shared = 1
+    if not isinstance(p_dist, ProbabilityDistribution):
+        tops = ((pn, pd * qn, qd) for (pn, pd), (qn, qd)
+                in zip(_typed_ratios(p_dist, types), _typed_ratios(q_dist, types)))
+    elif isinstance(q_dist, ProbabilityDistribution):
+        shared, us = p_dist.total, q_dist.weights
+        deep = _keyed_by_bit_length(q_dist)
+        most = {}
+        for w, key in zip(p_dist.weights, map(int.bit_length, us) if deep else us):
+            if w > most.get(key, 0):
+                most[key] = w
+        tops = ((w, 1 << (key - 1) if deep else key, q_dist.total)
+                for key, w in most.items())
     else:
-        shared = 1
-        ratios = ((pn * qd, pd * qn) for (pn, pd), (qn, qd)
-                  in zip(_ratios(p_dist), _ratios(q_dist)) if pn)
-    best_num = best_den = None
-    for num, den in ratios:
-        if not den:
+        shared = p_dist.total
+        tops = _object_maxima(p_dist.weights, q_dist, types)
+    best = None
+    for w, qn, qd in tops:
+        if not w:
+            continue
+        if not qn:
             raise InfiniteDivergenceError("q_i = 0 with p_i > 0")
-        if best_num is None or num * best_den > best_num * den:
-            best_num, best_den = num, den
-    if best_num is None:
+        # w * qd / qn as num * 2^e / den
+        num, e = (w * qd, 0) if qd & (qd - 1) else (w, qd.bit_length() - 1)
+        den = qn
+        if not qn & (qn - 1):
+            den, e = 1, e - qn.bit_length() + 1
+        if best is not None:
+            best_num, best_den, best_e = best
+            left = num * best_den if best_den != 1 else num
+            right = best_num * den if den != 1 else best_num
+            if not (left << (e - best_e) > right if e >= best_e
+                    else left > right << (best_e - e)):
+                continue
+        best = num, den, e
+    if best is None:
         raise DistributionError("no positive entries")
-    best = Fraction(best_num, best_den * shared)
-    floats = any(isinstance(x, float) for dist in (p_dist, q_dist)
-                 if not isinstance(dist, ProbabilityDistribution) for x in dist)
-    return float(best) if floats else best
+    num, den, e = best
+    den *= shared
+    best = Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
+    return float(best) if any(issubclass(t, float) for t in types) else best
 
 
 def ceil_log2_ratio(a: int, b: int) -> int:

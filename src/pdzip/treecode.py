@@ -19,6 +19,8 @@ once per depth, not once per leaf.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .bits import Bits
 from .core import ProbabilityDistribution, Record
 
@@ -95,12 +97,16 @@ class DyadicDistribution(Record):
         """Weights 2^(top - d_i) over 2^top, top the deepest leaf's depth.
 
         The weight and the Fraction entry are built once per distinct
-        depth and shared by every leaf at that depth.
+        depth and shared by every leaf at that depth.  The entry is the
+        unit fraction 1/2^d, already in lowest terms, so building it takes
+        no gcd of big powers of two.
         """
         depths = self.depth_exponents
         top = max(depths)
+        distinct = set(depths)
         return ProbabilityDistribution._shared(
-            depths, {d: 1 << (top - d) for d in set(depths)}, 1 << top)
+            depths, {d: 1 << (top - d) for d in distinct}, 1 << top,
+            {d: Fraction(1, 1 << d) for d in distinct})
 
 
 def encode_tree(shape: StrictTreeShape) -> TreePayload:

@@ -500,6 +500,47 @@ class TestStats:
             assert run(capsys, "stats", "--original", src,
                        "--compressed", box) == (0, want, "")
 
+    def test_bound_lines(self, tmp_path, capsys):
+        # Method.bounds gives numbers and bound_text prints them: every
+        # method's two bound lines, refine at k = 2..6, both sparse forms
+        # at c = 1 and 3/2
+        src = write_dist(tmp_path / "p.txt", [13, 1, 1, 1, 5, 2, 9, 4])
+        box = str(tmp_path / "p.pdz")
+
+        def refined(d, d_bound, ratio, ratio_bound):
+            return (f"divergence: {d} bits (bound: < {d_bound})",
+                    f"max_ratio: {ratio} (bound: < {ratio_bound})")
+
+        def sparse(d, d_bound, ratio):
+            return (f"divergence: {d} bits "
+                    f"(bound: <= c*H(P) + log2(pi^2/3) = {d_bound})",
+                    f"max_ratio: {ratio}")
+
+        tree = refined("0.253538382537", "2", "2", "4")
+        expected = {
+            ("tree",): tree,
+            ("refine", "--k", "2"): tree,
+            ("refine", "--k", "3"): refined("0.173463383979", "1.58496",
+                                            "1.625", "3"),
+            ("refine", "--k", "4"): refined("0.101858890063", "1.32193",
+                                            "1.52777777778", "2.5"),
+            ("refine", "--k", "5"): refined("0.0608933045945", "1.16993",
+                                            "1.55555555556", "2.25"),
+            ("refine", "--k", "6"): refined("0.0292436737583", "1.08746",
+                                            "1.31944444444", "2.125"),
+        }
+        for method in ("sparse", "sparse-queryable"):
+            expected[(method, "--c", "1")] = sparse(
+                "0.307070341791", "4.15894", "2.51423614716")
+            expected[(method, "--c", "3/2")] = sparse(
+                "0.559093938092", "5.37939", "2.88888888889")
+        for method, want in expected.items():
+            run(capsys, "compress", "--method", *method, src, box)
+            code, stdout, _ = run(capsys, "stats", "--original", src,
+                                  "--compressed", box)
+            assert code == 0
+            assert tuple(stdout.splitlines()[3:5]) == want
+
     def test_ratio_past_the_float_range(self, tmp_path):
         # 65533 levels that all mark symbol 1 store q_2 = 1/(2^65533 + 1),
         # so max p_i/q_i = (2^65533 + 1)/2, about 1.25e19727

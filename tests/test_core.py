@@ -25,6 +25,7 @@ from pdzip.core import (
     relative_entropy,
 )
 
+from conftest import random_tree_depths
 from naive import fraction_from_weights, log2_fraction
 
 # High-precision reference values, computed once with an arbitrary
@@ -585,6 +586,182 @@ class TestMaxRatioOnSequences:
             max_ratio(p, [half, 0, 0, 0])
 
 
+def _per_term_divergence(p, q):
+    """D(P||Q) as the sum of (w/W) * _log2_ratio(w * qd, W * qn) in symbol
+    order, with (qn, qd) a q distribution's weight over its total or a q
+    entry's as_integer_ratio(): each term on the integers the measure
+    has always used."""
+    if isinstance(q, ProbabilityDistribution):
+        ratios = zip(q.weights, repeat(q.total))
+    else:
+        ratios = (x.as_integer_ratio() for x in q)
+    total = 0.0
+    for w, (qn, qd) in zip(p.weights, ratios):
+        if w:
+            if not qn:
+                raise InfiniteDivergenceError("q_i = 0 with p_i > 0")
+            pf = w / p.total
+            if pf:
+                total += pf * _log2_ratio(w * qd, p.total * qn)
+    return total
+
+
+def _exact_outcome(measure, *args):
+    """(result type, value), a float by its hex digits; or (exception
+    type, None), an OverflowError from a ratio past the float range
+    included."""
+    try:
+        value = measure(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), None
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def _dyadic_weights(draw, n):
+    """Power-of-two weights of n symbols over a power-of-two total: the
+    leaf depths of a random strict tree, or of a comb, whose total passes
+    2^61 from n = 62 on."""
+    if draw(st.booleans()):
+        depths = random_tree_depths(random.Random(draw(st.integers(0, 99))), n)
+    else:
+        depths = list(range(1, n)) + [n - 1]
+        random.Random(draw(st.integers(0, 99))).shuffle(depths)
+    top = max(depths)
+    return [1 << (top - d) for d in depths]
+
+
+_FLOAT_Q = st.one_of(st.floats(2.0 ** -1074, 1.0), st.sampled_from(
+    (5e-324, 2.0 ** -1074 * 3, 2.0 ** -1022, 2.0 ** -1023, 0.5, 1.0)))
+_SHARED_Q = st.one_of(
+    st.builds(lambda d: Fraction(1, 1 << d), st.integers(0, 3000)),
+    st.builds(lambda b, s: Fraction(1 << b, 2 * s + 1),
+              st.integers(0, 200), st.integers(0, 1 << 200)),
+    _FLOAT_Q)
+
+
+@st.composite
+def _divergence_pairs(draw):
+    """(P, Q) of one length: P a distribution with zeros and weights up to
+    2^3000; Q a power-of-two-weight distribution, deep ones included, or a
+    sequence of shared objects (1/2^d, 2^b/S, floats down to subnormals),
+    of equal values held as distinct objects, or of fresh floats; now and
+    then a zero in Q."""
+    kind = draw(st.sampled_from(("tree", "powers", "shared", "copies", "floats")))
+    n = draw(st.integers(62, 70) if kind == "tree" and draw(st.booleans())
+             else st.integers(1, 12))
+    p = ProbabilityDistribution.from_weights(draw(st.lists(
+        st.one_of(st.integers(0, 3), st.integers(0, 1 << 3000)),
+        min_size=n, max_size=n).filter(any)))
+    if kind == "tree":
+        weights = _dyadic_weights(draw, n)
+    elif kind == "powers":
+        # a refine-like distribution: powers of two over any total
+        weights = [1 << k for k in draw(st.lists(st.integers(0, 100),
+                                                 min_size=n, max_size=n))]
+    else:
+        values = draw(st.lists(_SHARED_Q, min_size=1, max_size=4))
+        picks = draw(st.lists(st.integers(0, len(values) - 1),
+                              min_size=n, max_size=n))
+        if kind == "copies":
+            # x * 1 is a new object of the same value, float or Fraction
+            q = [values[j] * 1 for j in picks]
+        elif kind == "floats":
+            q = [float(values[j]) for j in picks]
+        else:
+            q = [values[j] for j in picks]
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, n - 1))
+        if kind in ("tree", "powers"):
+            weights[i] = 0
+        else:
+            q[i] = draw(st.sampled_from((0, 0.0, Fraction(0))))
+    if kind in ("tree", "powers"):
+        q = (ProbabilityDistribution.from_weights(weights) if any(weights)
+             else [Fraction(0)] * n)
+    return p, q
+
+
+class TestDivergenceBySides:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_divergence_pairs())
+    def test_measures_keep_every_term(self, pair):
+        # D is the per-term sum bit for bit, and the max ratio the brute
+        # force maximum of the same type, or both raise the same error
+        p, q = pair
+        assert (_exact_outcome(relative_entropy, p, q)
+                == _exact_outcome(_per_term_divergence, p, q))
+        assert (_exact_outcome(max_ratio, p, q)
+                == _exact_outcome(_brute_max_ratio, p, q))
+        longer = [*q, Fraction(0)]
+        for measure in (relative_entropy, max_ratio):
+            with pytest.raises(DistributionError):
+                measure(p, longer)
+
+    def test_measures_past_the_held_limit(self, monkeypatch):
+        # with more distinct q_i than the measures hold at once, the work
+        # is redone, never reused from a dropped object, and every
+        # result stays the same
+        monkeypatch.setattr("pdzip.core._HELD", 3)
+        rng = random.Random(41)
+        values = [Fraction(1, 1 << d) for d in range(1, 9)] + [
+            Fraction(4, 7), Fraction(1, 3), 0.1, 2.0 ** -1070, Fraction(0)]
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            p = ProbabilityDistribution.from_weights(
+                [rng.choice((0, rng.randint(1, 1 << 90))) for _ in range(n - 1)]
+                + [1])
+            shared = [rng.choice(values) for _ in range(n)]
+            fresh = [x * 1 for x in shared]
+            weights = [rng.choice((0, 1, 2, 3, 5, 1 << 70)) for _ in range(n)]
+            qs = [shared, fresh]
+            if any(weights):
+                qs.append(ProbabilityDistribution.from_weights(weights))
+            for q in qs:
+                assert (_exact_outcome(relative_entropy, p, q)
+                        == _exact_outcome(_per_term_divergence, p, q))
+                assert (_exact_outcome(max_ratio, p, q)
+                        == _exact_outcome(_brute_max_ratio, p, q))
+
+    def test_distinct_q_objects_are_not_held_whole(self, monkeypatch):
+        # a q sequence of n distinct objects keeps the work of at most
+        # _HELD of them: 20 000 sides would take megabytes
+        monkeypatch.setattr("pdzip.core._HELD", 64)
+        rng = random.Random(43)
+        n = 20000
+        p = ProbabilityDistribution.from_weights(
+            [rng.randint(1, 10 ** 6) for _ in range(n)])
+        entries = ProbabilityDistribution.from_weights(
+            [rng.randint(10 ** 6, 2 * 10 ** 6) for _ in range(n)]).entries
+        tracemalloc.start()
+        try:
+            relative_entropy(p, entries)
+            max_ratio(p, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
+
+    def test_each_shared_q_object_is_read_once(self, monkeypatch):
+        # a decoder's entries share one object per value, in any order
+        a, b, c = Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)
+        q = [a, b, c, a, c, b, c, c]
+        p = ProbabilityDistribution.from_weights([3, 1, 0, 2, 1, 1, 5, 2])
+        want = {measure: _outcome(measure, p, q)
+                for measure in (relative_entropy, max_ratio)}
+        read = []
+        as_integer_ratio = Fraction.as_integer_ratio
+
+        def counted(self):
+            read.append(self)
+            return as_integer_ratio(self)
+
+        monkeypatch.setattr(Fraction, "as_integer_ratio", counted)
+        for measure, outcome in want.items():
+            read.clear()
+            assert _outcome(measure, p, q) == outcome
+            assert sorted(map(id, read)) == sorted(map(id, (a, b, c)))
+
+
 class TestLogHelpers:
     def test_log2_fraction_powers(self):
         assert log2_fraction(Fraction(1)) == 0.0
@@ -648,7 +825,7 @@ def _records():
     # the METHODS records hold lambdas, which pickle cannot send
     method = Method(tag=9, name="m", params=(), options=(), payload_bits=abs,
                     formula="n", payload_type=int, compress=min, values=repr,
-                    index=None, bounds=max)
+                    index=None, bounds=max, bound_text=("< {:.6g}", None))
     return [p, shape, encode_tree(shape), DyadicDistribution((1, 2, 2)),
             compress_refined(p, 4), decompress_sparse(heavy), heavy, table,
             method, container_for(table)]
@@ -686,8 +863,8 @@ _FROZEN = {
         " payload_bits=<built-in function abs>, formula='n',"
         " payload_type=<class 'int'>, compress=<built-in function min>,"
         " values=<built-in function repr>, index=None,"
-        " bounds=<built-in function max>)",
-        "b0ca236edf00e814"),
+        " bounds=<built-in function max>, bound_text=('< {:.6g}', None))",
+        "146121d1c4d34d59"),
     "Container": (
         "Container(method=4, n=16, payload=Bits('0001000101000000', nbits=16),"
         " k=None, c=Fraction(1, 1), t=2)",

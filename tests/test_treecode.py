@@ -198,6 +198,21 @@ def test_decoded_values_are_shared(stored, level_ints):
         assert len({id(w) for w in weights}) == len(set(weights))
 
 
+def test_tree_entries_are_shared_unit_fractions():
+    # a comb 300 deep next to a balanced subtree: entry i is 1/2^d_i, one
+    # object per depth, and the weights and == are those of 2^(top - d)
+    # over 2^top
+    depths = tuple(range(1, 300)) + (302,) * 8
+    dist = DyadicDistribution(depths).to_distribution()
+    assert dist.entries == tuple(Fraction(1, 2 ** d) for d in depths)
+    first = {}
+    for d, q in zip(depths, dist.entries):
+        assert first.setdefault(d, q) is q
+    assert len({id(q) for q in dist.entries}) == len(set(depths))
+    assert dist == ProbabilityDistribution.from_weights(
+        [2 ** (302 - d) for d in depths])
+
+
 def test_each_open_walks_the_tree_once(tmp_path, monkeypatch, capsys):
     # every module that bound decode_tree calls the counting wrapper
     calls = []
