@@ -20,11 +20,16 @@ decompress_refined reads the same keys; a k-level payload has at most
 (deepest leaf + k - 1) distinct ones, so it builds each value once per
 distinct key, not per symbol.
 
-The encoder's levels compare exact products.  Each symbol pays one
-product w_i * U * 2^(k-3) for its side of the mark test; the q side
-u_i * (2^(k-3) + 1) * W is made once per distinct q weight u_i, and the
-q weights compress_refined passes are powers of two, so on a deep tree
-it is a shift.
+The encoder's levels are exact, and no symbol's test costs a product.
+With P as weights w_i over W and q_i = u_i/U, the level-k mark test
+w_i * U * 2^(k-3) >= u_i * (2^(k-3) + 1) * W holds just when w_i reaches
+the ceiling of u_i * (2^(k-3) + 1) * W / (U * 2^(k-3)), and the
+precondition fails just when it reaches the ceiling of twice that
+quotient.  Both thresholds are made once per distinct q weight, so each
+symbol makes int comparisons only.  The q weights compress_refined
+passes are powers of two, and on a deep tree every threshold is a shift
+of one quotient: one big division per level, however many depths the
+tree has.
 """
 
 from __future__ import annotations
@@ -82,8 +87,12 @@ def refine_step(dist: ProbabilityDistribution,
     Requires max p_i/q_i < 2 + 2^{4-k} on entry (4 for k = 3) and returns
     the mark vector together with the renormalized distribution, whose
     largest ratio is below 2 + 2^{3-k}.  Every q_i must be positive, which
-    is checked before any symbol is read.  The q side of the tests is
-    computed once per distinct q weight, not once per symbol.
+    is checked before any symbol is read.  Each distinct q weight u gets
+    two thresholds, the least p weights that are marked and that break
+    the precondition, and each symbol compares its weight with them.
+    When every u is a power of two and U is past the hash modulus, as on
+    a deep tree, all thresholds come from one floor quotient by shifts;
+    otherwise each u takes one divmod.
     """
     if k < 3:
         raise ValueError("refinement levels start at k = 3")
@@ -93,30 +102,45 @@ def refine_step(dist: ProbabilityDistribution,
     if 0 in us:
         raise DistributionError("q_i must be strictly positive")
     # with p = w/W, q = u/U and s = 2^(k-3), the mark test p >= (1 + 1/s) q
-    # is w*U*s >= (s+1)*u*W and the precondition p < (2 + 2/s) q is
-    # w*U*s < 2*(s+1)*u*W, which an unmarked symbol meets already
+    # is w*D >= u*N with N = (s+1)*W and D = U*s, that is w >= ceil(u*N/D),
+    # and the precondition p < (2 + 2/s) q is w < ceil(2*u*N/D), which an
+    # unmarked symbol meets already
     s = 1 << (k - 3)
-    p_scale = q_prev.total * s
-    q_scale = (s + 1) * dist.total
-    # the right-hand side once per distinct u.  Below the hash modulus an
-    # int hashes to itself; above it 2^j hashes to 2^(j mod 61), so the
-    # powers of two of a deep tree would crowd a table keyed by u: when
-    # every u is a power of two, as in compress_refined, its bit length
-    # keys it and u*q_scale is a shift
+    big_n = (s + 1) * dist.total
+    big_d = q_prev.total * s
+    # both thresholds once per distinct u.  Below the hash modulus an int
+    # hashes to itself; above it 2^j hashes to 2^(j mod 61), so the powers
+    # of two of a deep tree would crowd a table keyed by u: when every u is
+    # a power of two, as in compress_refined, its bit length b keys it
+    mark_of = {}  # the least w that is marked
+    pre_of = {}   # the least w that breaks the precondition
     keys = us
     if (q_prev.total >= sys.hash_info.modulus
             and sum(map(int.bit_count, us)) == len(us)):
         keys = list(map(int.bit_length, us))
-        rhs_of = {b: q_scale << (b - 1) for b in set(keys)}
+        # ceil(2^e * N/D) for every e from one quotient F = floor(2^hi * N/D):
+        # floor(2^e * N/D) is F >> (hi - e), and 2^e * N/D is an integer
+        # just when the remainder is 0 and F's low hi - e bits are clear,
+        # that is from e = exact on.  u = 2^(b-1) is marked from
+        # ceil(2^(b-1) * N/D), and breaks the precondition from key b+1's
+        # mark threshold
+        hi = max(keys)
+        f, rest = divmod(big_n << hi, big_d)
+        exact = hi + 1 if rest else hi + 1 - (f & -f).bit_length()
+        for b in set(keys):
+            mark_of[b] = (f >> (hi - b + 1)) + (b - 1 < exact)
+            pre_of[b] = (f >> (hi - b)) + (b < exact)
     else:
-        rhs_of = {u: u * q_scale for u in set(us)}
+        for u in set(us):
+            # u*N = f*D + rest, so ceil(2*u*N/D) = 2f + ceil(2*rest/D)
+            f, rest = divmod(u * big_n, big_d)
+            mark_of[u] = f + (rest > 0)
+            pre_of[u] = 2 * f + (rest > 0) + (2 * rest > big_d)
     marks = bytearray()  # ASCII digits, read at the end as one numeral
     weights = []
     for w, u, key in zip(dist.weights, us, keys):
-        lhs = w * p_scale
-        rhs = rhs_of[key]
-        if lhs >= rhs:
-            if lhs >= 2 * rhs:
+        if w >= mark_of[key]:
+            if w >= pre_of[key]:
                 raise DistributionError(
                     f"ratio precondition violated at level {k}")
             marks += b"1"

@@ -9,11 +9,15 @@ the integer form of parsed and normalized weights.
 import math
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdzip import treebuild
 from pdzip.container import container_for
 from pdzip.core import DistributionError, ProbabilityDistribution, parse_distribution
 from pdzip.refine import RefinePayload, compress_refined, refine_step
@@ -186,6 +190,50 @@ class TestExactBoundaries:
                                          1 - bound * q1 + Fraction(1, 10 ** 9)))
         assert refine_step(below, q, k) == fraction_refine_step(below, q, k)
 
+    # power-of-two q weights over a total of 2^64 + 1, so refine_step takes
+    # every threshold from one quotient by shifts.  An exact tie puts the
+    # odd total into the p weights and leaves D/gcd(N, D) a power of two;
+    # p weights that are multiples of 10^-40 share none of its odd factors,
+    # so no threshold is an integer, and p_1 sits one step either side of it
+    DEEP_Q = (1 << 61, 1 << 61, 1 << 62, 1, 1 << 63)
+    DEEP_Q1 = Fraction(1 << 61, 2 ** 64 + 1)
+
+    def _beside(self, p1):
+        """p_1 given, p_i = q_i in the middle, the last symbol the rest."""
+        middle = tuple(Fraction(u, 2 ** 64 + 1) for u in self.DEEP_Q[1:-1])
+        return ProbabilityDistribution((p1,) + middle + (1 - p1 - sum(middle),))
+
+    def _steps(self, factor):
+        """factor * q_1 rounded down and up to multiples of 10^-40."""
+        down = math.floor(factor * self.DEEP_Q1 * 10 ** 40)
+        return tuple(self._beside(Fraction(d, 10 ** 40)) for d in (down, down + 1))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_refine_mark_at_threshold_deep(self, k):
+        q = ProbabilityDistribution.from_weights(self.DEEP_Q)
+        assert q.weights == self.DEEP_Q and q.total >= 2 ** 61
+        threshold = 1 + Fraction(1, 2 ** (k - 3))
+        for p, want in ((self._beside(threshold * self.DEEP_Q1), "10000"),
+                        *zip(self._steps(threshold), ("00000", "10000"))):
+            marks, q2 = refine_step(p, q, k)
+            assert marks.to01() == want
+            assert (marks, q2) == fraction_refine_step(p, q, k)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_refine_precondition_edge_deep(self, k):
+        q = ProbabilityDistribution.from_weights(self.DEEP_Q)
+        bound = 2 + Fraction(2, 2 ** (k - 3))
+        below, above = self._steps(bound)
+        for p in (self._beside(bound * self.DEEP_Q1), above):
+            for step in (refine_step, fraction_refine_step):
+                with pytest.raises(DistributionError, match="precondition"):
+                    step(p, q, k)
+        below_tie = self._beside((bound - Fraction(1, 10 ** 40)) * self.DEEP_Q1)
+        for p in (below_tie, below):
+            marks, q2 = refine_step(p, q, k)
+            assert marks.to01() == "10000"
+            assert (marks, q2) == fraction_refine_step(p, q, k)
+
 
 # ----------------------------------------------------------------------
 # properties of the integer form
@@ -300,6 +348,11 @@ _code_tree_weights = st.one_of(
     # dyadic weights over a power-of-two total: w * 2^L = 2W exactly
     st.lists(st.integers(0, 10 ** 6), max_size=40).map(
         lambda picks: [1 << (40 - d) for d in _split_leaves(picks)]),
+    # falling weights, each a product of the factors after it: a long tail
+    # just below S = 1, with codewords up to 480 bits on both sides of the
+    # length at which code_tree divides from the top end
+    st.lists(st.integers(1, 2 ** 12), max_size=40).map(
+        lambda factors: list(accumulate([1] + factors, mul))[::-1]),
 )
 
 
@@ -308,12 +361,26 @@ _code_tree_weights = st.one_of(
 @example([7])
 @example([1, 1])
 @example([3, 1])
+# S_2 = 1/2 exactly, with a short and with a long codeword
+@example([1, 2, 1])
+@example([2 ** 100, 1, 2 ** 100])
+# halving weights: codewords of 2 to 82 bits, all past S = 1/2 but the first
+@example([2 ** i for i in range(80, -1, -1)])
+# long tails of odd weights
+@example([2 ** 200, 3 ** 90, 5 ** 40, 7 ** 20, 11 ** 5, 1])
+@example([3 ** 300, 2 ** 300, 5 ** 100, 3 ** 100, 1, 1])
 # geometric r = 2 both ways round: deep LCP stacks, long runs of pops
 @example([2 ** i for i in range(1000)])
 @example([2 ** i for i in range(999, -1, -1)])
 def test_code_tree_equals_codeword_contraction(weights):
     p = ProbabilityDistribution.from_weights(weights)
-    got = code_tree(p)
+    # the codewords code_tree hands over are the Fraction formula's
+    with mock.patch.object(treebuild, "contract_to_strict",
+                           wraps=treebuild.contract_to_strict) as spy:
+        got = code_tree(p)
+    codewords = [fraction_codeword(s, q)
+                 for s, q in zip(fraction_midpoints(p), p.entries)]
+    assert list(zip(*spy.call_args.args)) == codewords
     want = fraction_code_tree(p)
     assert got.leaf_depths == want.leaf_depths
     assert got.flags == want.flags
@@ -324,3 +391,51 @@ def test_code_tree_equals_codeword_contraction(weights):
         assert got.leaf_depths == naive_code_tree_depths(p)
     # and the flags are what the checking walk makes of these depths
     assert got.flags == StrictTreeShape(got.leaf_depths).flags
+
+
+@st.composite
+def _refine_cases(draw):
+    """(p, q, k) with many ratios p_i/q_i exactly at a test's threshold.
+
+    q is either powers of two from 1 to 2^100 (total past 2^61) or any
+    positive ints.  Each symbol but the last takes p_i = f_i * q_i for an
+    f_i drawn near the level's two thresholds, while that stays within the
+    mass left; the last symbol takes the rest.
+    """
+    k = draw(st.integers(3, 6))
+    s = 2 ** (k - 3)
+    if draw(st.booleans()):
+        exps = draw(st.lists(st.integers(0, 100), min_size=1, max_size=10))
+        us = [1 << e for e in exps] + [1, 1 << draw(st.integers(61, 100))]
+    else:
+        us = draw(st.lists(st.integers(1, 2 ** 70), min_size=2, max_size=12))
+    q = ProbabilityDistribution.from_weights(us)
+    mark, pre = 1 + Fraction(1, s), 2 + Fraction(2, s)
+    tiny = st.sampled_from([Fraction(1, 2 ** 80), Fraction(1, 3 ** 50)])
+    factor = st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1), mark, pre]),
+        st.builds(lambda d: mark - d, tiny), st.builds(lambda d: mark + d, tiny),
+        st.builds(lambda d: pre - d, tiny),
+        st.fractions(min_value=0, max_value=pre, max_denominator=10 ** 6))
+    entries = []
+    left = Fraction(1)
+    for qi in q.entries[:-1]:
+        p = draw(factor) * qi
+        if p > left:
+            p = Fraction(0)
+        entries.append(p)
+        left -= p
+    return ProbabilityDistribution((*entries, left)), q, k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_refine_cases())
+def test_refine_step_matches_reference(case):
+    p, q, k = case
+    try:
+        want = fraction_refine_step(p, q, k)
+    except DistributionError as caught:
+        with pytest.raises(DistributionError, match=str(caught)):
+            refine_step(p, q, k)
+    else:
+        assert refine_step(p, q, k) == want

@@ -23,6 +23,7 @@ from pdzip.sparse import (
     rank_width,
 )
 from pdzip.succinct import NavigationError, SuccinctTreeIndex, _ceil_log2
+from pdzip.treebuild import CodewordSetError, contract_to_strict
 from pdzip.treecode import MalformedPayloadError, TreePayload
 from conftest import sparse_queryable_header
 
@@ -76,6 +77,16 @@ CASES = {
                     "ceil(log2) of a value below 1"),
     "bits-negative-length": (lambda: Bits.from_int(0, -1), ValueError,
                              "negative bit length"),
+    # 5 and 4 need three bits: the negative LCP would pop the stack's sentinel
+    "codeword-too-long-high": (lambda: contract_to_strict([1, 5], [2, 2]),
+                               CodewordSetError,
+                               "a codeword value does not fit its length"),
+    "codeword-too-long-low": (lambda: contract_to_strict([0, 4], [2, 2]),
+                              CodewordSetError,
+                              "a codeword value does not fit its length"),
+    "codeword-lengths-count": (lambda: contract_to_strict([0, 1], [1]),
+                               CodewordSetError,
+                               "values and lengths differ in number"),
 }
 
 
