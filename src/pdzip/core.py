@@ -83,7 +83,8 @@ def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
 class Record:
     """An immutable slotted record.  __init__ stores one value per slot, in
     order: a subclass checks its arguments, then passes them on to it.
-    _trusted(*values) is the one unchecked constructor.  `_compared` names
+    _trusted(*values) is the one unchecked constructor, and _cache fills a
+    slot that a property computes on first use.  `_compared` names
     the fields that ==, hash and repr read: its constructor's positional
     parameters, in order, so copy and pickle rebuild it through the
     constructor and its checks."""
@@ -102,6 +103,11 @@ class Record:
         record = object.__new__(cls)
         Record.__init__(record, *values)
         return record
+
+    def _cache(self, name: str, value):
+        """Store value in the cache slot `name`, and return it."""
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -195,9 +201,24 @@ class ProbabilityDistribution(Record):
         of L divides some d_j to its full power in L, so it divides neither
         L/d_j nor num_j, and any other prime divides each num_i * L/d_i
         exactly as often as num_i.
+
+        Weights that are all of type int are their own numerators over
+        L = 1, so they go straight to their minimum, gcd and sum, with no
+        ratio pairs and no lists of numerators and denominators.
         """
         # read twice: for the ratios and for their types
         weights = list(weights)
+        types = set(map(type, weights))
+        if types == {int}:
+            low = min(weights)
+            if low < 0:
+                raise DistributionError("negative weight")
+            g = math.gcd(low, *weights)
+            if not g:
+                raise DistributionError("all weights are zero")
+            if g > 1:
+                weights = [w // g for w in weights]
+            return cls._trusted(tuple(weights), sum(weights), None)
         try:
             ratios = [w.as_integer_ratio() for w in weights]
         except AttributeError:
@@ -205,7 +226,7 @@ class ProbabilityDistribution(Record):
                                     "Decimal or have as_integer_ratio()") from None
         if not ratios:
             raise DistributionError("no weights given")
-        if not _LOWEST_TERMS.issuperset(map(type, weights)):
+        if not _LOWEST_TERMS.issuperset(types):
             # the gcd of the numerators stands for the whole only in lowest terms
             ratios = [Fraction(*r).as_integer_ratio() for r in ratios]
         nums = [num for num, _ in ratios]
@@ -241,8 +262,8 @@ class ProbabilityDistribution(Record):
         """The probabilities as Fractions, built on first use."""
         if self._entries is None:
             total = self.total
-            object.__setattr__(self, "_entries",
-                               tuple(Fraction(w, total) for w in self.weights))
+            return self._cache(
+                "_entries", tuple(Fraction(w, total) for w in self.weights))
         return self._entries
 
     @property

@@ -32,18 +32,17 @@ shape.  Pushing the LCP in front of leaf j first pops the nodes whose
 subtrees end at leaf j - 1; the pushed node's subtree starts at the leaf
 just after the new stack top, so it is one more 1 in the preorder run of
 internal nodes before that leaf.  Those runs, each closed by its leaf's
-0, are the 2n-1 preorder flags, and the leaf depths follow from them as
-d_j = d_{j-1} - (nodes popped in front of leaf j) + (run before leaf j).
-A Cartesian tree over the n-1 gaps between n leaves is always strict, so
-the shape is made from these depths and flags as they are, without the
-checking walk that StrictTreeShape(depths) does.
+0, are the 2n-1 preorder flags.  The contraction emits flags; depths are
+read from them on demand.  A Cartesian tree over the n-1 gaps between n
+leaves is always strict, so the shape is made from these flags as they
+are, without the checking walk that StrictTreeShape(depths) does.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import accumulate
-from operator import add, sub
+from operator import add
 
 from .core import DistributionError, ProbabilityDistribution
 from .treecode import StrictTreeShape
@@ -74,14 +73,16 @@ def midpoints(dist: ProbabilityDistribution) -> tuple[int, ...]:
 def contract_to_strict(values: Sequence[int],
                        lengths: Sequence[int]) -> StrictTreeShape:
     """The trie of the codewords (values[j], lengths[j]), every one-child
-    node removed.
+    node removed, as a shape that holds only its preorder flags.
 
     Codeword j is the lengths[j]-bit binary form of values[j], so
     0 <= values[j] < 2**lengths[j].  One pass computes each LCP, raises
     CodewordSetError on a codeword that is a prefix of the next or sorts
     after it (the LCPs would then describe no trie of these codewords),
     on an empty list or on lists of different lengths, and runs the
-    Cartesian-tree stack described in the module docstring.  A value too
+    Cartesian-tree stack described in the module docstring, which counts
+    the internal nodes in front of each leaf and nothing else: the leaf
+    depths are read from the flags when first asked for.  A value too
     long for its length next to one that fits gives a negative LCP, which
     pops the stack's sentinel; that too raises CodewordSetError.  Other
     values out of range, negative ones among them, are not checked.
@@ -92,7 +93,6 @@ def contract_to_strict(values: Sequence[int],
     if len(lengths) != n:
         raise CodewordSetError("values and lengths differ in number")
     runs = [0] * n  # internal nodes right before leaf j in preorder
-    pops = [0] * n  # nodes whose subtrees end at leaf j - 1
     stack = [-1]    # LCPs of the nodes still open on the right
     first = [0]     # the leaf just after each stack entry
     a, la = values[0], lengths[0]
@@ -110,12 +110,10 @@ def contract_to_strict(values: Sequence[int],
             # hold 0
             if not (b >> (lb - lcp - 1)) & 1:
                 raise CodewordSetError("codewords are not strictly increasing")
-            top = len(stack)
             while stack[-1] >= lcp:
                 stack.pop()
                 first.pop()
             runs[first[-1]] += 1
-            pops[j] = top - len(stack)
             stack.append(lcp)
             first.append(j)
             a, la = b, lb
@@ -123,9 +121,8 @@ def contract_to_strict(values: Sequence[int],
         # only a negative LCP empties the stack
         raise CodewordSetError(
             "a codeword value does not fit its length") from None
-    depths = tuple(accumulate(map(sub, runs, pops)))
     flags = int("0".join(map("1".__mul__, runs)) + "0", 2)
-    return StrictTreeShape._trusted(depths, flags)
+    return StrictTreeShape._trusted(flags, n, None)
 
 
 _NEAR_END = 64
@@ -137,7 +134,8 @@ def code_tree(dist: ProbabilityDistribution) -> StrictTreeShape:
     Codeword i is the first L bits of S_i, for the least L with
     w_i * 2^L >= 2W (the bit lengths of the two sides leave only two
     candidates); `contract_to_strict` turns them into a tree whose leaf
-    depths satisfy 2^{d_i} * p_i < 4.
+    depths satisfy 2^{d_i} * p_i < 4.  The tree comes back as its flags;
+    its depths are read from them only if a caller asks.
 
     Above S_i = 1/2 a codeword of _NEAR_END bits or more is divided from
     the top end, as the module docstring says; shorter ones keep the

@@ -3,22 +3,26 @@
 A strict binary tree with n leaves has 2n-1 nodes.  Writing 1 for each
 internal node and 0 for each leaf in preorder gives 2n-1 flags whose final
 flag is always 0, so only the first 2n-2 are stored.  This module owns that
-format and walks it once in each direction: a shape's leaf depths are
-turned into flags when the shape is made, which is also what decides that
-the depths describe a strict tree, and decode_tree turns stored bits back
-into depths, rejecting bits that do not describe one.  decode_tree and
-treebuild's contraction have proved their trees strict by the time they
-finish, so they hand depths and flags together to the _trusted
-constructor that StrictTreeShape inherits from core.Record, which stores
-them unchecked, instead of having them walked again.  The leaf
-depths d_i of such a tree satisfy sum 2^{-d_i} = 1 exactly, so the tree
-itself encodes the distribution q_i = 2^{-d_i}.  That distribution takes
-one value per distinct depth, and DyadicDistribution builds each value
-once per depth, not once per leaf.
+format and walks it once in each direction.  A shape made from leaf
+depths is turned into flags when it is made, which is also what decides
+that the depths describe a strict tree.  decode_tree turns stored bits
+back into depths, rejecting bits that do not describe a tree, through
+_depths_of, the one flags-to-depths walker.  treebuild's contraction
+emits flags alone, and the depths of a shape it makes are read from
+them on demand, so a tree compress, which stores only the flags,
+computes no depth.  decode_tree and the contraction have proved their
+trees strict by the time they finish, so they hand their results to the
+_trusted constructor that StrictTreeShape inherits from core.Record,
+which stores them unchecked, instead of having them walked again.  The
+leaf depths d_i of such a tree satisfy sum 2^{-d_i} = 1 exactly, so the
+tree itself encodes the distribution q_i = 2^{-d_i}.  That distribution
+takes one value per distinct depth, and DyadicDistribution builds each
+value once per depth, not once per leaf.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .bits import Bits
@@ -30,23 +34,31 @@ class MalformedPayloadError(ValueError):
 
 
 class StrictTreeShape(Record):
-    """Left-to-right leaf depths of a strict binary tree.
+    """A strict binary tree with n leaves, by its 2n-1 preorder flags.
 
-    Validity means the sequence is realizable in this order by some strict
-    binary tree, which forces the dyadic weights 2^{-d_i} to sum to exactly
-    one.  Making a shape walks the tree the sequence describes and keeps
-    its 2n-1 preorder flags, most significant first, in `flags`.
+    `flags` holds the flags as an int, most significant first.  Validity
+    means the leaf depths, read left to right, are realizable in this
+    order by some strict binary tree, which forces the dyadic weights
+    2^{-d_i} to sum to exactly one.  Making a shape from depths walks the
+    tree they describe to check them and keep its flags; `leaf_depths` of
+    a shape made from flags alone is read from them on first use.
     """
 
-    __slots__ = ("leaf_depths", "flags")
+    __slots__ = ("flags", "n", "_leaf_depths")
     _compared = ("leaf_depths",)
 
-    def __init__(self, leaf_depths: tuple[int, ...]) -> None:
-        super().__init__(leaf_depths, _preorder_flags(leaf_depths))
+    def __init__(self, leaf_depths: Sequence[int]) -> None:
+        depths = tuple(leaf_depths)
+        super().__init__(_preorder_flags(depths), len(depths), depths)
 
     @property
-    def n(self) -> int:
-        return len(self.leaf_depths)
+    def leaf_depths(self) -> tuple[int, ...]:
+        """Left-to-right leaf depths, read from the flags on first use."""
+        if self._leaf_depths is None:
+            # the final flag, always 0, is the one the walk leaves implied
+            return self._cache("_leaf_depths",
+                               _depths_of(format(self.flags, "b")[:-1]))
+        return self._leaf_depths
 
 
 def _preorder_flags(depths: tuple[int, ...]) -> int:
@@ -93,6 +105,9 @@ class DyadicDistribution(Record):
 
     __slots__ = _compared = ("depth_exponents",)
 
+    def __init__(self, depth_exponents: Sequence[int]) -> None:
+        super().__init__(tuple(depth_exponents))
+
     def to_distribution(self) -> ProbabilityDistribution:
         """Weights 2^(top - d_i) over 2^top, top the deepest leaf's depth.
 
@@ -115,14 +130,23 @@ def encode_tree(shape: StrictTreeShape) -> TreePayload:
 
 
 def decode_tree(payload: TreePayload) -> StrictTreeShape:
-    """Rebuild leaf depths from payload bits.
+    """Rebuild the tree from payload bits, keeping the depths its checking
+    walk reads; bits that describe no tree raise MalformedPayloadError."""
+    bits = payload.bits
+    return StrictTreeShape._trusted(bits.as_int() << 1, payload.n,
+                                    _depths_of(bits.to01()))
 
-    With the implied final 0 restored, every 0 is a leaf that ends a run of
-    internal nodes.  A run of r internal nodes from depth `at` puts its
-    leaf at depth at + r, and leaves the right children of its first r - 1
-    nodes, at depths at + 1 .. at + r - 1, pending on a stack; a leaf with
-    no run before it sends the walk to the deepest pending right child.
-    The stack's bottom is -1, which the tree's last leaf pops to close it.
+
+def _depths_of(stored: str) -> tuple[int, ...]:
+    """Leaf depths from stored preorder flags, a '0'/'1' string with the
+    final 0 left implied.
+
+    With that 0 restored, every 0 is a leaf that ends a run of internal
+    nodes.  A run of r internal nodes from depth `at` puts its leaf at
+    depth at + r, and leaves the right children of its first r - 1 nodes,
+    at depths at + 1 .. at + r - 1, pending on a stack; a leaf with no
+    run before it sends the walk to the deepest pending right child.  The
+    stack's bottom is -1, which the tree's last leaf pops to close it.
     The walk must close the tree at the last leaf and not before; anything
     else raises MalformedPayloadError.
     """
@@ -132,7 +156,7 @@ def decode_tree(payload: TreePayload) -> StrictTreeShape:
     push, pop, extend = pending.append, pending.pop, pending.extend
     at = 0
     try:
-        for run in map(len, payload.bits.to01().split("0")):
+        for run in map(len, stored.split("0")):
             # most runs of a near-balanced tree are 0, 1 or 2 nodes long
             if not run:
                 leaf(at)
@@ -158,8 +182,7 @@ def decode_tree(payload: TreePayload) -> StrictTreeShape:
         if pending[:1] == [-1]:
             raise MalformedPayloadError("bits ran out before the tree closed")
         raise MalformedPayloadError("bits continue after the tree closed")
-    # the walk has checked the depths; keep its flags rather than walk again
-    return StrictTreeShape._trusted(tuple(depths), payload.bits.as_int() << 1)
+    return tuple(depths)
 
 
 def implied_distribution(shape: StrictTreeShape) -> DyadicDistribution:

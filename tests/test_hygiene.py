@@ -141,10 +141,11 @@ def raw_object_access(source: str, module: str) -> list[str]:
 
 
 # Record.__init__ stores every record's fields and Record._trusted is the
-# one constructor that skips a subclass's checks; entries fills a cache
+# one constructor that skips a subclass's checks; Record._cache fills the
+# caches of lazy properties
 RAW_OBJECT_ACCESS = {"core.Record.__init__: object.__setattr__",
                      "core.Record._trusted: object.__new__",
-                     "core.ProbabilityDistribution.entries: object.__setattr__"}
+                     "core.Record._cache: object.__setattr__"}
 
 
 def test_records_store_fields_in_one_place():

@@ -77,11 +77,13 @@ def symbol_at(mid, w, total):
     return dist(*(x for x in (prefix, w, rest) if x)), int(prefix > 0)
 
 
-def assert_matches_references(p):
-    got = code_tree(p)
+def assert_matches_references(p, *shapes):
+    """code_tree(p), and any shapes given, against the Fraction and naive
+    references; a contracted shape reads its depths from its flags."""
     want = fraction_code_tree(p)
-    assert got.leaf_depths == want.leaf_depths == naive_code_tree_depths(p)
-    assert got.flags == want.flags
+    for got in (code_tree(p),) + shapes:
+        assert got.leaf_depths == want.leaf_depths == naive_code_tree_depths(p)
+        assert got.flags == want.flags == StrictTreeShape(got.leaf_depths).flags
 
 
 class TestCodeword:
@@ -97,6 +99,13 @@ class TestCodeword:
                                      Fraction(w, total)) == (int(word, 2),
                                                              len(word))
             assert_matches_references(p)
+        # one leaf, whose flags are the single 0; and a comb of depth 40,
+        # one run of 40 internal nodes, from its dyadic weights and from
+        # capped_tree over its depths
+        assert_matches_references(dist(1))
+        comb = tuple(range(1, 41)) + (40,)
+        assert_matches_references(dist(*(2 ** (40 - d) for d in comb)),
+                                  capped_tree(comb))
 
     def test_length_rule(self):
         # length is the least L with 2^L >= 2/p

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdzip import container as cont
+from pdzip import container as cont, treecode
 from pdzip.bits import Bits
 from pdzip.cli import main
 from pdzip.core import ProbabilityDistribution
@@ -252,6 +252,42 @@ def test_each_open_walks_the_tree_once(tmp_path, monkeypatch, capsys):
         open_()
         assert calls == [6], name
     capsys.readouterr()
+
+
+def test_tree_compress_walks_no_depths(tmp_path, monkeypatch, capsys):
+    # a tree compress stores flags only, so it reads no depth from them; a
+    # refine compress reads the base tree's depths once, for its q side
+    calls = []
+    walk = treecode._depths_of
+
+    def counted(stored):
+        calls.append(len(stored))
+        return walk(stored)
+    monkeypatch.setattr(treecode, "_depths_of", counted)
+    weights = [5, 3, 1, 1, 2, 7]
+    p = ProbabilityDistribution.from_weights(weights)
+    src = tmp_path / "p.txt"
+    src.write_text("".join(f"{w}\n" for w in weights))
+    runs = {
+        "tree": (lambda: cont.compress(p, "tree"), 0),
+        "cli tree": (lambda: main(["compress", "--method", "tree", str(src),
+                                   str(tmp_path / "t.pdz")]), 0),
+        "refine": (lambda: cont.compress(p, "refine", k=5), 1),
+    }
+    for name, (run, walks) in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == walks, name
+    assert (tmp_path / "t.pdz").stat().st_size > 0
+    capsys.readouterr()
+
+
+def test_records_store_a_list_as_its_tuple():
+    for make in (StrictTreeShape, DyadicDistribution):
+        from_list, from_tuple = make([1, 2, 2]), make((1, 2, 2))
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+        assert repr(from_list) == repr(from_tuple)
 
 
 class TestDyadic:
