@@ -164,12 +164,13 @@ def _lines(dist, digits: int) -> str:
 
     Decoded values repeat (one per tree depth or refine key, one for
     every light sparse symbol), so each distinct value is formatted once,
-    keyed by its integer weight or its float.
+    keyed by the distribution's key or by its float.
     """
     if isinstance(dist, ProbabilityDistribution):
-        keys, total = dist.weights, dist.total
-        text = {w: format_probability(Fraction(w, total), digits) + "\n"
-                for w in set(keys)}
+        keys, weight = dist._keyed()
+        total = dist.total
+        text = {key: format_probability(Fraction(w, total), digits) + "\n"
+                for key, w in weight.items()}
     else:
         keys = dist.entries
         text = {v: format_probability(v, digits) + "\n" for v in set(keys)}

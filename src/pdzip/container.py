@@ -66,11 +66,11 @@ class Method(Record):
     `bound_text` holds one format template per bound, which shows the
     number as `stats` prints it ("< {:.6g}"), or None with no bound.
 
-    values returns the decoded distribution object: a
-    ProbabilityDistribution for tree and refine, whose integer weights,
-    and Fraction entries, are built once per distinct depth or exponent
-    and shared by every symbol that has it; a sparse.ApproxDistribution
-    of floats for the sparse forms.
+    values returns the decoded distribution object: for tree and refine a
+    dyadic ProbabilityDistribution, keyed by leaf depth or refine key,
+    whose integer weights and Fraction entries are built on first use,
+    once per distinct key and shared by every symbol that has it; a
+    sparse.ApproxDistribution of floats for the sparse forms.
     """
 
     __slots__ = _compared = ("tag", "name", "params", "options", "payload_bits",

@@ -3,10 +3,11 @@
 A distribution is held as non-negative integer weights w_i over their
 exact sum W, so every construction-side test in the package is a
 comparison of integers; `entries` offers the same values as Fractions
-for callers that want them.  The only values carried in floating point
-are logarithmic measures (entropy, divergence) and the irrational
-per-symbol values produced by the sparse codec.  All logarithms are
-base 2 and results are in bits.
+for callers that want them.  A decoded distribution holds a small int
+key per symbol instead, and builds its weights only if asked for.  The
+only values carried in floating point are logarithmic measures
+(entropy, divergence) and the irrational per-symbol values produced by
+the sparse codec.  All logarithms are base 2 and results are in bits.
 
 from_weights takes int, bool, float, Fraction and Decimal weights, or
 anything else with an exact as_integer_ratio().  With each weight a
@@ -24,8 +25,9 @@ its total and a sequence (Fractions, floats or ints) entry by entry,
 both as exact (numerator, denominator) pairs, and D(P||Q) sums one
 term per symbol, in symbol order.  When P is a distribution, its p_i
 share one denominator, so the q side of each measure is worked out once
-per distinct q_i: per weight of a q distribution, or per object of a q
-sequence, which a decoder shares per distinct value.  A decoder's q_i
+per distinct q_i: per key of a q distribution (a dyadic one's keys, any
+other's distinct weights), or per object of a q sequence, which a
+decoder shares per distinct value.  A decoder's q_i
 carry powers of two (a tree's 1/2^d, refine's 2^b/S, the sparse floats'
 m/2^e), and those factors are shifts, not products.  The max ratio
 compares one candidate per distinct q_i.
@@ -38,8 +40,10 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from collections import Counter
 from collections.abc import Sequence
 from itertools import repeat
+from operator import mul
 
 
 class DistributionError(ValueError):
@@ -139,9 +143,16 @@ class ProbabilityDistribution(Record):
     exactly when their weights are.  The constructor takes Fraction
     entries summing to exactly 1; from_weights normalizes any
     non-negative weights.  Instances are immutable.
+
+    A decoded distribution is dyadic: symbol i has weight 2^(top - k_i)
+    over S = sum_j 2^(top - k_j), for small int keys k_i (a tree's leaf
+    depths, refine's d_i - m_i) and top the largest key, whose weight 1
+    keeps the weights in lowest terms.  It holds its keys and one int per
+    distinct key, and builds `weights` and `entries` from them on first
+    use, one int and one Fraction per distinct key.
     """
 
-    __slots__ = ("weights", "total", "_entries")
+    __slots__ = ("_weights", "total", "_entries", "_keys", "_weight")
 
     def __init__(self, entries: Sequence[Fraction]) -> None:
         entries = tuple(entries)
@@ -159,7 +170,7 @@ class ProbabilityDistribution(Record):
         if total != den:
             raise DistributionError(
                 f"probabilities sum to {Fraction(total, den)}, not 1")
-        super().__init__(tuple(weights), den, entries)
+        super().__init__(tuple(weights), den, entries, None, None)
 
     @classmethod
     def _exact(cls, weights: Sequence[int], total: int) -> "ProbabilityDistribution":
@@ -168,25 +179,24 @@ class ProbabilityDistribution(Record):
         if g > 1:
             weights = [w // g for w in weights]
             total //= g
-        return cls._trusted(tuple(weights), total, None)
+        return cls._trusted(tuple(weights), total, None, None, None)
 
     @classmethod
-    def _shared(cls, keys: Sequence[int], weight: dict[int, int], total: int,
-                entry: dict[int, Fraction] | None = None
-                ) -> "ProbabilityDistribution":
-        """Trusted: symbol i has weight[keys[i]] over total, the weights in
-        lowest terms and summing to total.
+    def _dyadic(cls, keys: Sequence[int]) -> "ProbabilityDistribution":
+        """Trusted: the dyadic distribution of int keys, held as given."""
+        counts = Counter(keys)
+        top = max(counts)
+        weight = {key: 1 << (top - key) for key in counts}
+        total = sum(map(mul, counts.values(), weight.values()))
+        return cls._trusted(None, total, None, keys, weight)
 
-        A decoder's q_i take few distinct values, keyed by the small int
-        it holds (a depth or a refine key), so each distinct value gets one
-        int weight and one Fraction entry, shared by every symbol with
-        that key.  `entry` gives those Fractions where the caller knows
-        them in lowest terms; by default each is Fraction(w, total).
-        """
-        if entry is None:
-            entry = {key: Fraction(w, total) for key, w in weight.items()}
-        return cls._trusted(tuple(map(weight.__getitem__, keys)), total,
-                            tuple(map(entry.__getitem__, keys)))
+    def _keyed(self) -> tuple[Sequence, dict]:
+        """(keys, weight): symbol i has weight[keys[i]] over total.  Keys
+        are a dyadic distribution's own, or else the weights themselves."""
+        if self._keys is None:
+            weights = self.weights
+            return weights, {w: w for w in set(weights)}
+        return self._keys, self._weight
 
     @classmethod
     def from_weights(cls, weights: Sequence[int | float | Fraction | Decimal]
@@ -218,7 +228,7 @@ class ProbabilityDistribution(Record):
                 raise DistributionError("all weights are zero")
             if g > 1:
                 weights = [w // g for w in weights]
-            return cls._trusted(tuple(weights), sum(weights), None)
+            return cls._trusted(tuple(weights), sum(weights), None, None, None)
         try:
             ratios = [w.as_integer_ratio() for w in weights]
         except AttributeError:
@@ -240,7 +250,7 @@ class ProbabilityDistribution(Record):
         if g > 1:
             ratios = [(num // g, d) for num, d in ratios]
         ints, _ = _over_lcm(ratios)
-        return cls._trusted(tuple(ints), sum(ints), None)
+        return cls._trusted(tuple(ints), sum(ints), None, None, None)
 
     def __reduce__(self):
         return (ProbabilityDistribution._exact, (self.weights, self.total))
@@ -258,20 +268,33 @@ class ProbabilityDistribution(Record):
                 f"{list(self.weights)!r})")
 
     @property
-    def entries(self) -> tuple[Fraction, ...]:
-        """The probabilities as Fractions, built on first use."""
-        if self._entries is None:
-            total = self.total
+    def weights(self) -> tuple[int, ...]:
+        """The integer weights, built from the keys on first use."""
+        if self._weights is None:
             return self._cache(
-                "_entries", tuple(Fraction(w, total) for w in self.weights))
+                "_weights", tuple(map(self._weight.__getitem__, self._keys)))
+        return self._weights
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The probabilities as Fractions, built on first use, one per key."""
+        if self._entries is None:
+            keys, weight = self._keyed()
+            total = self.total
+            # where S = 2^s, as for every tree, each dyadic weight divides
+            # it: a unit fraction takes no gcd of big powers of two
+            unit = self._keys is not None and not total & (total - 1)
+            entry = {key: Fraction(1, total >> (w.bit_length() - 1)) if unit
+                     else Fraction(w, total) for key, w in weight.items()}
+            return self._cache("_entries", tuple(map(entry.__getitem__, keys)))
         return self._entries
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return len(self)
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self._weights if self._keys is None else self._keys)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]
@@ -280,7 +303,7 @@ class ProbabilityDistribution(Record):
         return iter(self.entries)
 
     def strictly_positive(self) -> bool:
-        return 0 not in self.weights
+        return self._keys is not None or 0 not in self.weights
 
 
 # a numeral is a plain decimal or integer token; no signs, no exponents
@@ -394,14 +417,6 @@ def entropy(dist: DistributionLike) -> float:
 _HELD = 4096
 
 
-def _keyed_by_bit_length(q_dist: ProbabilityDistribution) -> bool:
-    """Whether a dict over q_dist's distinct weights keys each weight 2^(b-1)
-    by its bit length b: above the hash modulus 2^j hashes to 2^(j mod 61),
-    so the powers of two of a deep tree would crowd a dict keyed by them."""
-    return (q_dist.total >= sys.hash_info.modulus
-            and set(map(int.bit_count, q_dist.weights)) == {1})
-
-
 def _divergence_side(q, qn: int, qd: int, pd: int, pd_bits: int) -> tuple:
     """What a D(P||Q) term w/pd * _log2_ratio(w * qd, pd * qn) needs of
     q_i = qn/qd, made once per distinct q_i.
@@ -443,16 +458,16 @@ def _sequence_sides(q_values, pd: int, pd_bits: int):
 
 
 def _distribution_sides(q_dist: ProbabilityDistribution, pd: int, pd_bits: int):
-    """The side of each q_i, made once per distinct weight, or once per
-    symbol when q_dist has more than _HELD distinct weights."""
-    us, qd = q_dist.weights, q_dist.total
-    deep = _keyed_by_bit_length(q_dist)
-    distinct = set(map(int.bit_length, us) if deep else us)
-    if len(distinct) > _HELD:
-        return (_divergence_side(None, u, qd, pd, pd_bits) for u in us)
-    side = {key: _divergence_side(None, 1 << (key - 1) if deep else key,
-                                  qd, pd, pd_bits) for key in distinct}
-    return map(side.__getitem__, map(int.bit_length, us) if deep else us)
+    """The side of each q_i, made once per key of q_dist, or once per
+    symbol when q_dist has more than _HELD keys."""
+    keys, weight = q_dist._keyed()
+    qd = q_dist.total
+    if len(weight) > _HELD:
+        return (_divergence_side(None, weight[key], qd, pd, pd_bits)
+                for key in keys)
+    side = {key: _divergence_side(None, u, qd, pd, pd_bits)
+            for key, u in weight.items()}
+    return map(side.__getitem__, keys)
 
 
 def relative_entropy(p_dist: DistributionLike, q_dist: DistributionLike) -> float:
@@ -461,8 +476,8 @@ def relative_entropy(p_dist: DistributionLike, q_dist: DistributionLike) -> floa
     Each term is p_i * _log2_ratio(pn * qd, pd * qn), summed in symbol
     order.  When P is a distribution, pd is its total, so a term's q side
     (pd * qn, its bit length, whether qd or qn is a power of two) is made
-    once per distinct q_i: per weight of a q distribution, per object of
-    a q sequence, keeping at most _HELD at once.  A power of two is a
+    once per distinct q_i: per key of a q distribution, per object of a
+    q sequence, keeping at most _HELD at once.  A power of two is a
     shift, and _log2_ratio's quotient is taken between the operands
     without it, scaled to one bit length: the same rational, so the same
     rounded float.
@@ -549,8 +564,8 @@ def max_ratio(p_dist: DistributionLike, q_dist: DistributionLike):
     InfiniteDivergenceError when some q_i = 0 has p_i > 0.
 
     Each candidate is w * qd / qn.  When P is a distribution, w is the
-    largest weight over one distinct q value, converted once: per weight
-    of a q distribution, per object of a q sequence.  A power-of-two qd
+    largest weight over one distinct q value, converted once: per key of
+    a q distribution, per object of a q sequence.  A power-of-two qd
     or qn is kept as an exponent, so the comparisons shift it.
     """
     _same_length(p_dist, q_dist)
@@ -561,14 +576,13 @@ def max_ratio(p_dist: DistributionLike, q_dist: DistributionLike):
         tops = ((pn, pd * qn, qd) for (pn, pd), (qn, qd)
                 in zip(_typed_ratios(p_dist, types), _typed_ratios(q_dist, types)))
     elif isinstance(q_dist, ProbabilityDistribution):
-        shared, us = p_dist.total, q_dist.weights
-        deep = _keyed_by_bit_length(q_dist)
+        shared = p_dist.total
+        keys, weight = q_dist._keyed()
         most = {}
-        for w, key in zip(p_dist.weights, map(int.bit_length, us) if deep else us):
+        for w, key in zip(p_dist.weights, keys):
             if w > most.get(key, 0):
                 most[key] = w
-        tops = ((w, 1 << (key - 1) if deep else key, q_dist.total)
-                for key, w in most.items())
+        tops = ((w, weight[key], q_dist.total) for key, w in most.items())
     else:
         shared = p_dist.total
         tops = _object_maxima(p_dist.weights, q_dist, types)

@@ -15,9 +15,9 @@ trees strict by the time they finish, so they hand their results to the
 _trusted constructor that StrictTreeShape inherits from core.Record,
 which stores them unchecked, instead of having them walked again.  The
 leaf depths d_i of such a tree satisfy sum 2^{-d_i} = 1 exactly, so the
-tree itself encodes the distribution q_i = 2^{-d_i}.  That distribution
-takes one value per distinct depth, and DyadicDistribution builds each
-value once per depth, not once per leaf.
+tree itself encodes the distribution q_i = 2^{-d_i}.  The leaf depths
+are that distribution's keys in core's dyadic form, so it holds one
+weight and one Fraction per distinct depth, not per leaf.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .bits import Bits
-from .core import ProbabilityDistribution, Record
+from .core import DistributionError, ProbabilityDistribution, Record
 
 
 class MalformedPayloadError(ValueError):
@@ -106,22 +106,21 @@ class DyadicDistribution(Record):
     __slots__ = _compared = ("depth_exponents",)
 
     def __init__(self, depth_exponents: Sequence[int]) -> None:
-        super().__init__(tuple(depth_exponents))
+        depths = tuple(depth_exponents)
+        if not depths:
+            raise DistributionError("a distribution needs at least one depth")
+        q = ProbabilityDistribution._dyadic(depths)
+        distinct = q._keyed()[1]
+        if min(distinct) < 0:
+            raise DistributionError("negative leaf depth")
+        if q.total != 1 << max(distinct):
+            raise DistributionError(
+                f"2^-d_i sum to {Fraction(q.total, 1 << max(distinct))}, not 1")
+        super().__init__(depths)
 
     def to_distribution(self) -> ProbabilityDistribution:
-        """Weights 2^(top - d_i) over 2^top, top the deepest leaf's depth.
-
-        The weight and the Fraction entry are built once per distinct
-        depth and shared by every leaf at that depth.  The entry is the
-        unit fraction 1/2^d, already in lowest terms, so building it takes
-        no gcd of big powers of two.
-        """
-        depths = self.depth_exponents
-        top = max(depths)
-        distinct = set(depths)
-        return ProbabilityDistribution._shared(
-            depths, {d: 1 << (top - d) for d in distinct}, 1 << top,
-            {d: Fraction(1, 1 << d) for d in distinct})
+        """The depths as the keys of a dyadic ProbabilityDistribution."""
+        return ProbabilityDistribution._dyadic(self.depth_exponents)
 
 
 def encode_tree(shape: StrictTreeShape) -> TreePayload:
@@ -186,7 +185,7 @@ def _depths_of(stored: str) -> tuple[int, ...]:
 
 
 def implied_distribution(shape: StrictTreeShape) -> DyadicDistribution:
-    return DyadicDistribution(shape.leaf_depths)
+    return DyadicDistribution._trusted(shape.leaf_depths)
 
 
 def compress_tree(dist: ProbabilityDistribution) -> TreePayload:

@@ -762,6 +762,58 @@ class TestDivergenceBySides:
             assert sorted(map(id, read)) == sorted(map(id, (a, b, c)))
 
 
+def _digest(dist) -> str:
+    return hashlib.sha256(pickle.dumps(dist, protocol=4)).hexdigest()
+
+
+class TestDyadicForm:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-3, 70), min_size=1, max_size=10), st.data())
+    def test_keys_and_weights_agree(self, keys, data):
+        # a dyadic distribution is the one its weights give, to every
+        # reader: each check takes a fresh one, with nothing built yet
+        def dyadic():
+            return ProbabilityDistribution._dyadic(keys)
+
+        top = max(keys)
+        weights = [1 << (top - key) for key in keys]
+        plain = ProbabilityDistribution._exact(weights, sum(weights))
+        assert dyadic() == plain and plain == dyadic()
+        assert hash(dyadic()) == hash(plain)
+        assert repr(dyadic()) == repr(plain)
+        assert _digest(dyadic()) == _digest(plain)
+        assert dyadic().entries == plain.entries
+        assert dyadic().weights == plain.weights
+        assert (dyadic().n, len(dyadic()), dyadic().strictly_positive()) == (
+            plain.n, len(plain), True)
+        n = len(keys)
+        other = ProbabilityDistribution.from_weights(data.draw(st.lists(
+            st.one_of(st.integers(0, 3), st.integers(0, 1 << 80)),
+            min_size=n, max_size=n).filter(any)))
+        assert _exact_outcome(entropy, dyadic()) == _exact_outcome(entropy, plain)
+        for measure in (relative_entropy, max_ratio):
+            assert (_exact_outcome(measure, other, dyadic())
+                    == _exact_outcome(measure, other, plain))
+            assert (_exact_outcome(measure, dyadic(), other)
+                    == _exact_outcome(measure, plain, other))
+        # p within a factor 3 of q, so that the lower levels pass their
+        # precondition and the higher ones may not
+        from pdzip.refine import refine_step
+        factors = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        p = ProbabilityDistribution.from_weights(
+            [w * f for w, f in zip(weights, factors)])
+        for k in (3, 4, 5):
+            want = _exact_outcome(refine_step, p, plain, k)
+            try:
+                marks, q = refine_step(p, dyadic(), k)
+            except DistributionError as exc:
+                assert want == (type(exc), None)
+                continue
+            # a dyadic q_prev gives a dyadic result, with nothing built
+            assert q._weights is None and q._entries is None
+            assert want == (tuple, (marks, q))
+
+
 class TestLogHelpers:
     def test_log2_fraction_powers(self):
         assert log2_fraction(Fraction(1)) == 0.0

@@ -198,6 +198,15 @@ class TestExactBoundaries:
     DEEP_Q = (1 << 61, 1 << 61, 1 << 62, 1, 1 << 63)
     DEEP_Q1 = Fraction(1 << 61, 2 ** 64 + 1)
 
+    def _deep_qs(self):
+        """DEEP_Q as plain weights, and as core's dyadic keys: key k has
+        weight 2^(63 - k)."""
+        plain = ProbabilityDistribution.from_weights(self.DEEP_Q)
+        assert plain.weights == self.DEEP_Q and plain.total >= 2 ** 61
+        keys = (2, 2, 1, 63, 0)
+        assert ProbabilityDistribution._dyadic(keys) == plain
+        return plain, ProbabilityDistribution._dyadic(keys)
+
     def _beside(self, p1):
         """p_1 given, p_i = q_i in the middle, the last symbol the rest."""
         middle = tuple(Fraction(u, 2 ** 64 + 1) for u in self.DEEP_Q[1:-1])
@@ -210,29 +219,31 @@ class TestExactBoundaries:
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_refine_mark_at_threshold_deep(self, k):
-        q = ProbabilityDistribution.from_weights(self.DEEP_Q)
-        assert q.weights == self.DEEP_Q and q.total >= 2 ** 61
+        plain, dyadic = self._deep_qs()
         threshold = 1 + Fraction(1, 2 ** (k - 3))
         for p, want in ((self._beside(threshold * self.DEEP_Q1), "10000"),
                         *zip(self._steps(threshold), ("00000", "10000"))):
-            marks, q2 = refine_step(p, q, k)
-            assert marks.to01() == want
-            assert (marks, q2) == fraction_refine_step(p, q, k)
+            for q in (plain, dyadic):
+                marks, q2 = refine_step(p, q, k)
+                assert marks.to01() == want
+                assert (marks, q2) == fraction_refine_step(p, plain, k)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_refine_precondition_edge_deep(self, k):
-        q = ProbabilityDistribution.from_weights(self.DEEP_Q)
+        plain, dyadic = self._deep_qs()
         bound = 2 + Fraction(2, 2 ** (k - 3))
         below, above = self._steps(bound)
         for p in (self._beside(bound * self.DEEP_Q1), above):
-            for step in (refine_step, fraction_refine_step):
+            for step, q in ((refine_step, plain), (refine_step, dyadic),
+                            (fraction_refine_step, plain)):
                 with pytest.raises(DistributionError, match="precondition"):
                     step(p, q, k)
         below_tie = self._beside((bound - Fraction(1, 10 ** 40)) * self.DEEP_Q1)
         for p in (below_tie, below):
-            marks, q2 = refine_step(p, q, k)
-            assert marks.to01() == "10000"
-            assert (marks, q2) == fraction_refine_step(p, q, k)
+            for q in (plain, dyadic):
+                marks, q2 = refine_step(p, q, k)
+                assert marks.to01() == "10000"
+                assert (marks, q2) == fraction_refine_step(p, plain, k)
 
 
 # ----------------------------------------------------------------------
@@ -431,11 +442,20 @@ def _refine_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_refine_cases())
 def test_refine_step_matches_reference(case):
+    # power-of-two q weights are also given as core's dyadic keys; both
+    # forms take refine_step's shift path
     p, q, k = case
+    forms = [q]
+    if sum(map(int.bit_count, q.weights)) == q.n:
+        top = max(q.weights).bit_length()
+        forms.append(ProbabilityDistribution._dyadic(
+            [top - u.bit_length() for u in q.weights]))
     try:
         want = fraction_refine_step(p, q, k)
     except DistributionError as caught:
-        with pytest.raises(DistributionError, match=str(caught)):
-            refine_step(p, q, k)
+        for q_prev in forms:
+            with pytest.raises(DistributionError, match=str(caught)):
+                refine_step(p, q_prev, k)
     else:
-        assert refine_step(p, q, k) == want
+        for q_prev in forms:
+            assert refine_step(p, q_prev, k) == want

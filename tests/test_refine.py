@@ -228,10 +228,10 @@ class TestDecompressRefined:
             assert tuple(decompress_refined(payload)) == want
             index = RefinedIndex(payload)
             assert tuple(index.query_prob(i) for i in range(1, 5)) == want
-        keys, weight, total = refined_keys(payload)
-        assert keys == [1, 2, 3, -295]
-        assert weight == {1: 4, 2: 2, 3: 1, -295: 1 << 298}
-        assert total == 7 + (1 << 298)
+        assert refined_keys(payload) == [1, 2, 3, -295]
+        q = decompress_refined(payload)
+        assert q._keyed() == ([1, 2, 3, -295], {1: 4, 2: 2, 3: 1, -295: 1 << 298})
+        assert q.total == 7 + (1 << 298)
 
     def test_index_range_checked(self):
         index = RefinedIndex(compress_refined(dist(3, 1), 4))

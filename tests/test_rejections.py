@@ -24,7 +24,7 @@ from pdzip.sparse import (
 )
 from pdzip.succinct import NavigationError, SuccinctTreeIndex, _ceil_log2
 from pdzip.treebuild import CodewordSetError, contract_to_strict
-from pdzip.treecode import MalformedPayloadError, TreePayload
+from pdzip.treecode import DyadicDistribution, MalformedPayloadError, TreePayload
 from conftest import sparse_queryable_header
 
 ONE = Fraction(1)
@@ -87,6 +87,12 @@ CASES = {
     "codeword-lengths-count": (lambda: contract_to_strict([0, 1], [1]),
                                CodewordSetError,
                                "values and lengths differ in number"),
+    "dyadic-sum-off": (lambda: DyadicDistribution((1, 1, 1)),
+                       DistributionError, "2^-d_i sum to 3/2, not 1"),
+    "dyadic-negative-depth": (lambda: DyadicDistribution((1, -1)),
+                              DistributionError, "negative leaf depth"),
+    "dyadic-empty": (lambda: DyadicDistribution(()), DistributionError,
+                     "a distribution needs at least one depth"),
 }
 
 

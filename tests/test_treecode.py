@@ -160,8 +160,10 @@ def test_walk_matches_linked_tree(stored, level_ints):
     # normalizer with the smallest e's power of two taken out
     exponents = [max(depths) - d + m for d, m in zip(depths, marks)]
     normalizer = sum(1 << e for e in exponents)
-    keys, weight, total = refined_keys(refine)
-    assert keys == [d - m for d, m in zip(depths, marks)]
+    q = decompress_refined(refine)
+    keys, weight = q._keyed()
+    total = q.total
+    assert refined_keys(refine) == keys == [d - m for d, m in zip(depths, marks)]
     assert total == normalizer >> min(exponents)
     assert [Fraction(weight[key], total) for key in keys] == [
         Fraction(1 << e, normalizer) for e in exponents]
@@ -279,6 +281,36 @@ def test_tree_compress_walks_no_depths(tmp_path, monkeypatch, capsys):
         run()
         assert len(calls) == walks, name
     assert (tmp_path / "t.pdz").stat().st_size > 0
+    capsys.readouterr()
+
+
+def test_decoded_distributions_build_no_weights(tmp_path, monkeypatch, capsys):
+    # decompress, stats and the refine index read a decoded distribution
+    # by its keys, so neither its weights nor its entries are built
+    made = []
+    dyadic = ProbabilityDistribution._dyadic.__func__
+
+    def recorded(cls, keys):
+        made.append(dyadic(cls, keys))
+        return made[-1]
+    monkeypatch.setattr(ProbabilityDistribution, "_dyadic", classmethod(recorded))
+    weights = [5, 3, 1, 1, 2, 7, 1 << 70, 9]
+    src = tmp_path / "p.txt"
+    src.write_text("".join(f"{w}\n" for w in weights))
+    for method, extra in (("tree", []), ("refine", ["--k", "5"])):
+        path = tmp_path / f"{method}.pdz"
+        assert main(["compress", "--method", method, *extra, str(src),
+                     str(path)]) == 0
+        for argv in (["decompress", str(path), str(tmp_path / "out.txt")],
+                     ["stats", "--original", str(src), "--compressed", str(path)]):
+            made.clear()
+            assert main(argv) == 0
+            assert [(q._weights, q._entries) for q in made] == [(None, None)], argv
+    payload = cont.unpack(path.read_bytes()).open()
+    made.clear()
+    index = RefinedIndex(payload)
+    assert index.query_prob(7) == decompress_refined(payload).entries[6]
+    assert made[0]._weights is None and made[0]._entries is None
     capsys.readouterr()
 
 
