@@ -20,10 +20,13 @@ largest of them, and each num_i * L/d_i is a left shift; other
 denominators take the lcm.
 
 The measures make one pass over their arguments and build no
-per-symbol list.  A distribution is read as its integer weights over
-its total and a sequence (Fractions, floats or ints) entry by entry,
-both as exact (numerator, denominator) pairs, and D(P||Q) sums one
-term per symbol, in symbol order.  When P is a distribution, its p_i
+per-symbol list of objects; a distribution keeps one 8-byte float per
+symbol, its `floats`, made on first use where its total is 2^53 or
+more, so that entropy and D(P||Q) share each p_i's big-int division.
+A distribution is read as its integer weights over its total and a
+sequence (Fractions, floats or ints) entry by entry, both as exact
+(numerator, denominator) pairs, and D(P||Q) sums one term per symbol,
+in symbol order.  When P is a distribution, its p_i
 share one denominator, so the q side of each measure is worked out once
 per distinct q_i: per key of a q distribution (a dyadic one's keys, any
 other's distinct weights), or per object of a q sequence, which a
@@ -42,8 +45,10 @@ from decimal import Decimal
 from fractions import Fraction
 from collections import Counter
 from collections.abc import Sequence
+from array import array
+from functools import reduce
 from itertools import repeat
-from operator import mul
+from operator import add, mul, truediv
 
 
 class DistributionError(ValueError):
@@ -150,9 +155,12 @@ class ProbabilityDistribution(Record):
     keeps the weights in lowest terms.  It holds its keys and one int per
     distinct key, and builds `weights` and `entries` from them on first
     use, one int and one Fraction per distinct key.
+
+    `floats` holds each p_i as a float, 8 bytes per symbol, made on first
+    use and shared by entropy and relative_entropy.
     """
 
-    __slots__ = ("_weights", "total", "_entries", "_keys", "_weight")
+    __slots__ = ("_weights", "total", "_entries", "_keys", "_weight", "_floats")
 
     def __init__(self, entries: Sequence[Fraction]) -> None:
         entries = tuple(entries)
@@ -170,7 +178,7 @@ class ProbabilityDistribution(Record):
         if total != den:
             raise DistributionError(
                 f"probabilities sum to {Fraction(total, den)}, not 1")
-        super().__init__(tuple(weights), den, entries, None, None)
+        super().__init__(tuple(weights), den, entries, None, None, None)
 
     @classmethod
     def _exact(cls, weights: Sequence[int], total: int) -> "ProbabilityDistribution":
@@ -179,7 +187,7 @@ class ProbabilityDistribution(Record):
         if g > 1:
             weights = [w // g for w in weights]
             total //= g
-        return cls._trusted(tuple(weights), total, None, None, None)
+        return cls._trusted(tuple(weights), total, None, None, None, None)
 
     @classmethod
     def _dyadic(cls, keys: Sequence[int]) -> "ProbabilityDistribution":
@@ -188,7 +196,7 @@ class ProbabilityDistribution(Record):
         top = max(counts)
         weight = {key: 1 << (top - key) for key in counts}
         total = sum(map(mul, counts.values(), weight.values()))
-        return cls._trusted(None, total, None, keys, weight)
+        return cls._trusted(None, total, None, keys, weight, None)
 
     def _keyed(self) -> tuple[Sequence, dict]:
         """(keys, weight): symbol i has weight[keys[i]] over total.  Keys
@@ -228,7 +236,8 @@ class ProbabilityDistribution(Record):
                 raise DistributionError("all weights are zero")
             if g > 1:
                 weights = [w // g for w in weights]
-            return cls._trusted(tuple(weights), sum(weights), None, None, None)
+            return cls._trusted(tuple(weights), sum(weights), None, None, None,
+                                None)
         try:
             ratios = [w.as_integer_ratio() for w in weights]
         except AttributeError:
@@ -250,7 +259,7 @@ class ProbabilityDistribution(Record):
         if g > 1:
             ratios = [(num // g, d) for num, d in ratios]
         ints, _ = _over_lcm(ratios)
-        return cls._trusted(tuple(ints), sum(ints), None, None, None)
+        return cls._trusted(tuple(ints), sum(ints), None, None, None, None)
 
     def __reduce__(self):
         return (ProbabilityDistribution._exact, (self.weights, self.total))
@@ -288,6 +297,36 @@ class ProbabilityDistribution(Record):
                      else Fraction(w, total) for key, w in weight.items()}
             return self._cache("_entries", tuple(map(entry.__getitem__, keys)))
         return self._entries
+
+    @property
+    def floats(self) -> array:
+        """Each p_i as the correctly rounded float w_i / total, one 8-byte
+        item per symbol in an array('d'), made on first use: one int true
+        division per key of a dyadic distribution, per symbol of any other."""
+        if self._floats is None:
+            total = self.total
+            if self._keys is None:
+                view = array("d", map(truediv, self._weights, repeat(total)))
+            else:
+                p = {key: w / total for key, w in self._weight.items()}
+                view = array("d", map(p.__getitem__, self._keys))
+            return self._cache("_floats", view)
+        return self._floats
+
+    def _p_floats(self):
+        """Each p_i as a float, in order, for the measures: `floats` where
+        the total is 2^53 or more, so that every w_i / total is a big-int
+        division; below that, None for each, as one float division made
+        where the measure reads w_i is cheaper than making and reading
+        the array."""
+        return self.floats if self.total >> 53 else repeat(None)
+
+    def _symbol_weights(self):
+        """Each symbol's int weight in order; a dyadic distribution's are
+        read through its keys, so its `weights` tuple is not built."""
+        if self._keys is None:
+            return self._weights
+        return map(self._weight.__getitem__, self._keys)
 
     @property
     def n(self) -> int:
@@ -363,11 +402,11 @@ def _ratios(dist: DistributionLike):
     """Each entry as an exact (numerator, denominator) pair, streamed.
 
     A ProbabilityDistribution gives its integer weights over its total,
-    so the measures never build its Fraction entries; a float entry is
-    taken at its exact binary value.
+    so the measures never build its Fraction entries, nor a dyadic one's
+    weights; a float entry is taken at its exact binary value.
     """
     if isinstance(dist, ProbabilityDistribution):
-        return zip(dist.weights, repeat(dist.total))
+        return zip(dist._symbol_weights(), repeat(dist.total))
     return (x.as_integer_ratio() for x in dist)
 
 
@@ -396,20 +435,50 @@ def _log2_ratio(num: int, den: int) -> float:
     return math.log1p((num - den) / den) / _LN2
 
 
-def entropy(dist: DistributionLike) -> float:
-    """H(P) = sum p_i log2(1/p_i) in bits, with 0 log 0 = 0.  Above 2^-1022,
-    correct rounding commutes with exact scaling by 2^-shift, so for |shift| > 1
-    ldexp(pf, -shift) is bit for bit the quotient _log2_ratio(num, den) divides."""
+def _entropy_sum(ratios) -> float:
+    """0.0 - t_1 - t_2 - ..., in order, with t_i = p_i log2(p_i) for each
+    (num, den, den.bit_length(), pf), p_i = num/den and pf its correctly
+    rounded float, or None to divide here; a p_i too small for a float
+    has a term that underflows.  Above 2^-1022, correct rounding commutes
+    with exact scaling by 2^-shift, so for |shift| > 1 ldexp(pf, -shift)
+    is bit for bit the quotient _log2_ratio(num, den) divides."""
     total = 0.0
-    for num, den in _ratios(dist):
+    for num, den, den_bits, pf in ratios:
         if num:
-            pf = num / den
-            shift = num.bit_length() - den.bit_length()
-            if abs(shift) > 1 and pf > 2.0 ** -1022:
+            if pf is None:
+                pf = num / den
+            shift = num.bit_length() - den_bits
+            if (shift > 1 or shift < -1) and pf > 2.0 ** -1022:
                 total -= pf * (shift + math.log2(math.ldexp(pf, -shift)))
-            elif pf:  # a p_i too small for float has a term that underflows
+            elif pf:
                 total -= pf * _log2_ratio(num, den)
     return total
+
+
+def entropy(dist: DistributionLike) -> float:
+    """H(P) = sum p_i log2(1/p_i) in bits, with 0 log 0 = 0, summed in
+    symbol order.
+
+    A distribution's p_i come from _p_floats: from its `floats`, 8 bytes
+    per symbol made on first use and shared with relative_entropy, where
+    each is a big-int division, so that H and D divide by the total once
+    per symbol between them.  A dyadic distribution takes one division
+    and one term per key, and builds neither its floats nor its weights.
+    """
+    if not isinstance(dist, ProbabilityDistribution):
+        return _entropy_sum((num, den, den.bit_length(), None)
+                            for num, den in _ratios(dist))
+    den = dist.total
+    bits = den.bit_length()
+    if dist._keys is None:
+        return _entropy_sum(zip(dist._weights, repeat(den), repeat(bits),
+                                dist._p_floats()))
+    # 0.0 - t_k per key, added in symbol order: the sum never reaches -0.0,
+    # so s + (0.0 - t) is s - t, bit for bit.  sum() is not used, as it
+    # compensates float sums from Python 3.12 on
+    term = {key: _entropy_sum(((w, den, bits, None),))
+            for key, w in dist._weight.items()}
+    return reduce(add, map(term.__getitem__, dist._keys), 0.0)
 
 
 # the most distinct q_i whose work a measure holds at once: a decoder's q_i
@@ -422,17 +491,19 @@ def _divergence_side(q, qn: int, qd: int, pd: int, pd_bits: int) -> tuple:
     q_i = qn/qd, made once per distinct q_i.
 
     A power of two is an exponent, not a factor: the operands are
-    num << a and den << b, with num = w * mul, or w (mul = 0) when qd is
-    2^a, and den = pd * qn, or pd when qn is 2^b.  The side is (mul, a - b,
-    den, den.bit_length(), den << (b - a) if b > a else den, q), q kept
-    only to hold the object; a zero qn gives (0, None, 0, 0, 0, q).
+    num << a and den << b, with num = w * mul, or w when qd is 2^a, and
+    den = pd * qn, or pd when qn is 2^b.  mul is qd, or 0 when qd is 2^a,
+    or None when qn is 2^b as well, so that num/den is p_i itself.  The
+    side is (mul, a - b, den, den.bit_length(), den << (b - a) if b > a
+    else den, q), q kept only to hold the object; a zero qn gives
+    (0, None, 0, 0, 0, q).
     """
     if not qn:
         return 0, None, 0, 0, 0, q
-    mul, shift = (qd, 0) if qd & (qd - 1) else (0, qd.bit_length() - 1)
+    mul, shift = (qd, 0) if qd & (qd - 1) else (None, qd.bit_length() - 1)
     if qn & (qn - 1):
         den = pd * qn
-        return mul, shift, den, den.bit_length(), den, q
+        return mul or 0, shift, den, den.bit_length(), den, q
     shift -= qn.bit_length() - 1
     return mul, shift, pd, pd_bits, pd << -shift if shift < 0 else pd, q
 
@@ -480,7 +551,12 @@ def relative_entropy(p_dist: DistributionLike, q_dist: DistributionLike) -> floa
     q sequence, keeping at most _HELD at once.  A power of two is a
     shift, and _log2_ratio's quotient is taken between the operands
     without it, scaled to one bit length: the same rational, so the same
-    rounded float.
+    rounded float.  p_i comes from _p_floats, as in entropy: from P's
+    `floats`, 8 bytes per symbol made on first use and shared with
+    entropy, where it is a big-int division.  Where q_i is 2^b/2^a, as
+    for every tree value, the quotient away from 1 is p_i scaled by a
+    power of two, so above 2^-1022 it is ldexp of p_i's float, as in
+    entropy, and such a term takes no division at all.
 
     Raises InfiniteDivergenceError when some q_i = 0 has p_i > 0.
     """
@@ -501,12 +577,14 @@ def relative_entropy(p_dist: DistributionLike, q_dist: DistributionLike) -> floa
     sides = (_distribution_sides(q_dist, pd, pd_bits)
              if isinstance(q_dist, ProbabilityDistribution)
              else _sequence_sides(q_dist, pd, pd_bits))
-    for w, (mul, shift, den, den_bits, low, _) in zip(p_dist.weights, sides):
+    for w, pf, (mul, shift, den, den_bits, low, _) in zip(
+            p_dist._symbol_weights(), p_dist._p_floats(), sides):
         if not w:
             continue
         if shift is None:
             raise InfiniteDivergenceError("q_i = 0 with p_i > 0")
-        pf = w / pd
+        if pf is None:
+            pf = w / pd
         if not pf:
             continue
         num = w * mul if mul else w
@@ -514,8 +592,11 @@ def relative_entropy(p_dist: DistributionLike, q_dist: DistributionLike) -> floa
         s = num.bit_length() - den_bits
         exponent = s + shift
         if exponent > 1 or exponent < -1:
-            total += pf * (exponent + math.log2(
-                num / (den << s) if s >= 0 else (num << -s) / den))
+            if mul is None and pf > 2.0 ** -1022:
+                ratio = math.ldexp(pf, -s)
+            else:
+                ratio = num / (den << s) if s >= 0 else (num << -s) / den
+            total += pf * (exponent + math.log2(ratio))
         else:
             num = num << shift if shift > 0 else num
             total += pf * (math.log1p((num - low) / low) / _LN2)
@@ -579,13 +660,13 @@ def max_ratio(p_dist: DistributionLike, q_dist: DistributionLike):
         shared = p_dist.total
         keys, weight = q_dist._keyed()
         most = {}
-        for w, key in zip(p_dist.weights, keys):
+        for w, key in zip(p_dist._symbol_weights(), keys):
             if w > most.get(key, 0):
                 most[key] = w
         tops = ((w, weight[key], q_dist.total) for key, w in most.items())
     else:
         shared = p_dist.total
-        tops = _object_maxima(p_dist.weights, q_dist, types)
+        tops = _object_maxima(p_dist._symbol_weights(), q_dist, types)
     best = None
     for w, qn, qd in tops:
         if not w:

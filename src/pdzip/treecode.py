@@ -109,6 +109,8 @@ class DyadicDistribution(Record):
         depths = tuple(depth_exponents)
         if not depths:
             raise DistributionError("a distribution needs at least one depth")
+        if set(map(type, depths)) != {int}:
+            raise DistributionError("leaf depths must be ints")
         q = ProbabilityDistribution._dyadic(depths)
         distinct = q._keyed()[1]
         if min(distinct) < 0:

@@ -323,7 +323,8 @@ def fraction_refine_step(dist: ProbabilityDistribution,
     new_q = tuple((2 * q if m else q) / normalizer
                   for m, q in zip(marks, q_prev.entries))
     # weights over math.lcm, stored unchecked: the package's _over_lcm never runs
-    q = ProbabilityDistribution._trusted(*lcm_weights(new_q), new_q, None, None)
+    q = ProbabilityDistribution._trusted(*lcm_weights(new_q), new_q, None, None,
+                                         None)
     return bits("".join(map(str, marks))), q
 
 

@@ -5,12 +5,13 @@ import pickle
 import random
 import sys
 import tracemalloc
+from array import array
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdzip.core import (
@@ -681,21 +682,96 @@ def _divergence_pairs(draw):
     return p, q
 
 
+def _near_tiny(m, k=1):
+    """P = (p_1, 1 - p_1) with p_1 = m / (k * 2^1074), near 2^-1022 for
+    m near k * 2^52."""
+    return ProbabilityDistribution.from_weights([m, (k << 1074) - m])
+
+
+def _tiny_pair(m, k, j):
+    """(P, Q) with P = _near_tiny(m, k) and Q = (2^-j, p_2): the second
+    term is 0, so D is p_1's term alone and shows its last bit."""
+    p = _near_tiny(m, k)
+    return p, [Fraction(1, 1 << j), p.entries[1]]
+
+
+_HALVES = ProbabilityDistribution.from_weights([1, 1])
+_BIG_P = ProbabilityDistribution.from_weights([1, 1 << 80])
+
+
 class TestDivergenceBySides:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_divergence_pairs())
+    # a power-of-two q_1 under p_1 = 2^-1022 and one ulp either side
+    @example((_near_tiny(1 << 52), _HALVES))
+    @example((_near_tiny((1 << 52) + 1), [Fraction(1, 2)] * 2))
+    @example((_near_tiny((1 << 52) - 1), _HALVES))
+    # p_1 that round to those floats.  (2^52 - 1/3) * 2^-1074 rounds to
+    # 2^-1022, but scaled into the normal range it does not round to a
+    # power of two, so ldexp of its float would be one ulp off; likewise
+    # (2^52 - 4/3) * 2^-1074, one ulp below
+    @example(_tiny_pair((3 << 52) - 1, 3, 1024))
+    @example(_tiny_pair((3 << 52) - 4, 3, 1016))
+    @example(_tiny_pair((3 << 52) + 2, 3, 1024))
+    # q_i = 2^b/S and q_i floats: the quotient is divided
+    @example((_BIG_P, [Fraction(2, 3), Fraction(1, 3)]))
+    @example((_BIG_P, [0.25, 0.75]))
     def test_measures_keep_every_term(self, pair):
-        # D is the per-term sum bit for bit, and the max ratio the brute
-        # force maximum of the same type, or both raise the same error
+        # D is the per-term sum bit for bit, whether P's floats are made
+        # by D itself, by entropy before it, or were made by D earlier,
+        # and the max ratio the brute force maximum of the same type, or
+        # both raise the same error
         p, q = pair
-        assert (_exact_outcome(relative_entropy, p, q)
-                == _exact_outcome(_per_term_divergence, p, q))
+        want = _exact_outcome(_per_term_divergence, p, q)
+        assert _exact_outcome(relative_entropy, p, q) == want
+        fresh = ProbabilityDistribution.from_weights(p.weights)
+        entropy(fresh)
+        assert _exact_outcome(relative_entropy, fresh, q) == want
+        entropy(p)
+        assert _exact_outcome(relative_entropy, p, q) == want
         assert (_exact_outcome(max_ratio, p, q)
                 == _exact_outcome(_brute_max_ratio, p, q))
         longer = [*q, Fraction(0)]
         for measure in (relative_entropy, max_ratio):
             with pytest.raises(DistributionError):
                 measure(p, longer)
+
+    def test_one_float_view_serves_both_measures(self, monkeypatch):
+        # P's floats are made once, by whichever measure reads them first,
+        # into one array('d') of n items that the other measure reads
+        made = []
+
+        def counted(*args):
+            made.append(array(*args))
+            return made[-1]
+        monkeypatch.setattr("pdzip.core.array", counted)
+        rng = random.Random(47)
+        weights = [rng.choice((0, rng.randint(1, 1 << 80))) for _ in range(299)]
+        weights.append(1 << 80)
+        q = ProbabilityDistribution._dyadic(random_tree_depths(rng, 300))
+        results = []
+        for first in ("entropy", "divergence"):
+            made.clear()
+            p = ProbabilityDistribution.from_weights(weights)
+            measures = {"entropy": lambda: entropy(p),
+                        "divergence": lambda: relative_entropy(p, q)}
+            got = {first: measures[first]()}
+            got.update((name, measure()) for name, measure in measures.items()
+                       if name != first)
+            results.append(got)
+            assert len(made) == 1 and p.floats is made[0]
+            assert made[0].typecode == "d" and len(made[0]) == p.n == 300
+            assert list(made[0]) == [w / p.total for w in p.weights]
+        assert results[0] == results[1]
+        # below 2^53 each p_i is one float division, and no view is made
+        made.clear()
+        small = ProbabilityDistribution.from_weights([3, 1, 4])
+        entropy(small)
+        relative_entropy(small, [Fraction(1, 3)] * 3)
+        assert made == [] and small._floats is None
+        # a dyadic distribution's floats are made once per key
+        assert list(ProbabilityDistribution._dyadic([1, 2, 2]).floats) == [
+            0.5, 0.25, 0.25]
 
     def test_measures_past_the_held_limit(self, monkeypatch):
         # with more distinct q_i than the measures hold at once, the work

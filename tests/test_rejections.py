@@ -93,6 +93,10 @@ CASES = {
                               DistributionError, "negative leaf depth"),
     "dyadic-empty": (lambda: DyadicDistribution(()), DistributionError,
                      "a distribution needs at least one depth"),
+    "dyadic-float-depths": (lambda: DyadicDistribution((1.0, 1.0)),
+                            DistributionError, "leaf depths must be ints"),
+    "dyadic-bool-depths": (lambda: DyadicDistribution((True, True)),
+                           DistributionError, "leaf depths must be ints"),
 }
 
 

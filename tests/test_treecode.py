@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from pdzip import container as cont, treecode
 from pdzip.bits import Bits
 from pdzip.cli import main
-from pdzip.core import ProbabilityDistribution
+from pdzip.core import (ProbabilityDistribution, entropy, max_ratio,
+                        relative_entropy)
 from pdzip.refine import (RefinedIndex, RefinePayload, decompress_refined,
                           refined_keys)
 from pdzip.treebuild import StrictTreeShape, code_tree
@@ -312,6 +313,14 @@ def test_decoded_distributions_build_no_weights(tmp_path, monkeypatch, capsys):
     assert index.query_prob(7) == decompress_refined(payload).entries[6]
     assert made[0]._weights is None and made[0]._entries is None
     capsys.readouterr()
+    # the measures read a dyadic distribution through its keys as well,
+    # one entropy term per key, with the values the weights gave
+    q = ProbabilityDistribution._dyadic([1, 2, 2])
+    assert entropy(q).hex() == "0x1.8000000000000p+0"
+    p = [Fraction(1, 3)] * 3
+    assert relative_entropy(p, q).hex() == "0x1.4ea9070aed422p-4"
+    assert max_ratio(p, q) == Fraction(4, 3)
+    assert (q._weights, q._entries, q._floats) == (None, None, None)
 
 
 def test_records_store_a_list_as_its_tuple():
